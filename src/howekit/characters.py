@@ -185,19 +185,6 @@ def straighten(beta, family, n, m):
     raise ValueError("family must be A or C")
 
 
-def _check_dominant_for_character(lam, family, rank):
-    if isinstance(lam, Partition):
-        v = lam.padded(rank)
-    else:
-        v = check_weight(lam, rank)
-    for a, b in zip(v, v[1:]):
-        if a < b:
-            raise ValueError("weight %r not dominant" % (v,))
-    if family == "C" and v[-1] < 0:
-        raise ValueError("weight %r not dominant for type C" % (v,))
-    return v
-
-
 @lru_cache(maxsize=None)
 def _weyl_character_cached(lam, family, rank):
     id = (family, rank)
@@ -223,9 +210,7 @@ def weyl_character(lam, family, rank):
     gives the gl_rank Schur polynomial.
     """
     family = str(family).upper()
-    if family not in ("A", "C"):
-        raise ValueError("family must be A or C")
-    v = _check_dominant_for_character(lam, family, rank)
+    v = weyl.check_dominant(lam, (family, rank))
     return _weyl_character_cached(v, family, rank)
 
 

@@ -21,7 +21,6 @@ subcommand is accepted too.
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -232,33 +231,29 @@ def _sweep(ns, rep):
     return 1 if rep["failures"] else 0
 
 
-def _threads(ns):
-    return ns.threads if ns.threads is not None else os.cpu_count()
-
-
 def _cmd_verify_schur(ns):
-    return _sweep(ns, verify.verify_schur_duality(ns.n, ns.m, _threads(ns)))
+    return _sweep(ns, verify.verify_schur_duality(ns.n, ns.m))
 
 
 def _cmd_verify_howe(ns):
-    return _sweep(ns, verify.verify_howe_duality(ns.n, ns.m, _threads(ns)))
+    return _sweep(ns, verify.verify_howe_duality(ns.n, ns.m))
 
 
 def _cmd_verify_bijection(ns):
-    return _sweep(ns, verify.verify_bijection(ns.n, ns.m, _threads(ns)))
+    return _sweep(ns, verify.verify_bijection(ns.n, ns.m))
 
 
 def _cmd_verify_contraction(ns):
-    return _sweep(ns, verify.verify_contraction(ns.n, ns.m, _threads(ns)))
+    return _sweep(ns, verify.verify_contraction(ns.n, ns.m))
 
 
 def _cmd_verify_jdt(ns):
-    return _sweep(ns, verify.verify_jdt(ns.n, ns.m, _threads(ns)))
+    return _sweep(ns, verify.verify_jdt(ns.n, ns.m))
 
 
 def _cmd_verify_generalized(ns):
     return _sweep(ns, verify.verify_generalized_duality(
-        ns.n, ns.r, ns.size_bound, _threads(ns)))
+        ns.n, ns.r, ns.size_bound))
 
 
 def _cmd_injectivity(ns):
@@ -276,9 +271,6 @@ def _build_parser():
                         help="force machine-readable output (the default "
                              "for every subcommand except crystal-graph "
                              "--dot)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (default: all "
-                             "cores); results do not depend on this")
     common.add_argument("--config", default=None,
                         help="key=value file overriding size caps")
 

@@ -160,7 +160,15 @@ class LaurentPolynomial:
         return sum(self.terms.values())
 
     def exact_div(self, divisor):
-        """Exact quotient self / divisor; raises when not exact."""
+        """Exact quotient self / divisor; raises when not exact.
+
+        Lex-leading terms are peeled off, so quotient exponents come out
+        strictly decreasing.  Lex order is additive, so an exact quotient
+        has lexmin(self) - lexmin(divisor) as its least exponent; a
+        quotient exponent below it proves the division inexact.  With more
+        than one variable infinitely many exponents lie above that bound,
+        so the decompose_cap step limit stays as a backstop.
+        """
         self._check_arity(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -168,6 +176,8 @@ class LaurentPolynomial:
             return LaurentPolynomial.zero(self.nvars)
         pivot = divisor.lex_max()
         pivot_coef = divisor.terms[pivot]
+        floor = tuple(a - b
+                      for a, b in zip(min(self.terms), min(divisor.terms)))
         rem = dict(self.terms)
         quot = {}
         steps = 0
@@ -182,6 +192,9 @@ class LaurentPolynomial:
                 raise HowekitError("division not exact (coefficient %d / %d)"
                                    % (coef, pivot_coef))
             qexp = tuple(a - b for a, b in zip(top, pivot))
+            if qexp < floor:
+                raise HowekitError("division not exact (quotient exponent %r "
+                                   "below %r)" % (qexp, floor))
             qcoef = coef // pivot_coef
             quot[qexp] = quot.get(qexp, 0) + qcoef
             for e, c in divisor.terms.items():

@@ -10,7 +10,7 @@ g_(X,k) of sp_2m.
 
 from functools import lru_cache
 
-from .errors import HowekitError
+from .errors import HowekitError, LimitExceeded
 from .partitions import Partition, MultiPartition, check_weight, involution_I
 from . import weyl
 
@@ -71,24 +71,9 @@ class DiagramSpec:
     def block_roots(self):
         """The root subset R_(X,k) as vectors in Z^m."""
         m = self.total()
-        roots = []
-        for (a, b), sym in zip(self.block_ranges(), self.symbols):
-            for i in range(a, b):
-                for j in range(i + 1, b):
-                    r = [0] * m
-                    r[i], r[j] = 1, -1
-                    roots.append(tuple(r))
-            if sym == "C":
-                for i in range(a, b):
-                    for j in range(i + 1, b):
-                        r = [0] * m
-                        r[i], r[j] = 1, 1
-                        roots.append(tuple(r))
-                for i in range(a, b):
-                    r = [0] * m
-                    r[i] = 2
-                    roots.append(tuple(r))
-        return tuple(roots)
+        return tuple((0,) * a + r + (0,) * (m - b)
+                     for (a, b), sym in zip(self.block_ranges(), self.symbols)
+                     for r in weyl.positive_roots((sym, b - a)))
 
     def complement_roots(self):
         """R^+(C_m) minus the block subset."""
@@ -178,27 +163,55 @@ def restricted_partition(spec, beta):
     return kostant_partition(spec.complement_roots(), beta)
 
 
-def _check_dominant(lam, id):
-    family, m = weyl.check_id(id)
-    v = tuple(lam.padded(m)) if isinstance(lam, Partition) else check_weight(lam, m)
-    for a, b in zip(v, v[1:]):
-        if a < b:
-            raise ValueError("weight %r is not dominant for %s" % (v, family))
-    if family == "C" and v and v[-1] < 0:
-        raise ValueError("weight %r is not dominant for C" % (v,))
-    return v
+def _weyl_sum(count, shifted, target, signed):
+    """sum_w eps(w) count(w(shifted) - target) over the Weyl group.
+
+    w runs over the signed permutations (type C) when signed, else over
+    the plain permutations (type A).  count must vanish outside the cone
+    spanned by the positive roots of A_{m-1} or C_m.  Every such root lies
+    in {x : x_1 + ... + x_k >= 0 for all k}, so w is built one coordinate
+    at a time, its sign carried along, and a prefix is cut as soon as a
+    partial sum of the argument goes negative: every term it would reach
+    has count 0.
+    """
+    m = len(shifted)
+    flips = (1, -1) if signed else (1,)
+    arg = [0] * m
+    total = 0
+
+    def place(i, free, partial, eps):
+        # free: the input coordinates not yet placed, in increasing order;
+        # taking the one at index idx adds idx inversions to the permutation
+        nonlocal total
+        if i == m:
+            total += eps * count(tuple(arg))
+            return
+        t = target[i]
+        for idx, j in enumerate(free):
+            rest = free[:idx] + free[idx + 1:]
+            e = -eps if idx & 1 else eps
+            for f in flips:
+                x = f * shifted[j] - t
+                if partial + x >= 0:
+                    arg[i] = x
+                    place(i + 1, rest, partial + x, f * e)
+
+    place(0, tuple(range(m)), 0, 1)
+    return total
 
 
 def weight_multiplicity(id, lam, mu):
-    """Kostant's formula K_{lam,mu} = sum_w eps(w) P(w o lam - mu)."""
+    """Kostant's formula K_{lam,mu} = sum_w eps(w) P(w(lam+rho) - (mu+rho))."""
     family, m = weyl.check_id(id)
-    lam = _check_dominant(lam, id)
+    lam = weyl.check_dominant(lam, id)
     mu = check_weight(mu, m)
-    roots = weyl.positive_roots(id)
-    total = 0
-    for w in weyl.enumerate_weyl(id):
-        arg = tuple(a - b for a, b in zip(weyl.dot_rho(w, lam, id), mu))
-        total += weyl.sign(w) * kostant_partition(roots, arg)
+    if m > weyl.MAX_RANK[family]:
+        raise LimitExceeded("rank %d above enumeration cap for type %s"
+                            % (m, family))
+    r = weyl.rho(id)
+    total = _weyl_sum(_counter_for(weyl.positive_roots(id)).count,
+                      tuple(a + b for a, b in zip(lam, r)),
+                      tuple(a + b for a, b in zip(mu, r)), family == "C")
     if total < 0:
         raise HowekitError("negative weight multiplicity for %r, %r" % (lam, mu))
     return total
@@ -216,14 +229,9 @@ def branching_coefficient(kappa, spec, nu):
     m = sum of spec sizes); nu is a multipartition whose components are the
     dominant block weights, flattened to Z^m.
 
-    The value is sum_w eps(w) P(w(kappa+rho) - (nu+rho)) over the signed
-    permutations w, P being the partition function of the complement
-    roots.  Every complement root is a positive root of C_m, so P vanishes
-    outside the positive cone of C_m, which is exactly
-    {x : x_1 + ... + x_k >= 0 for all k}.  So w is built one coordinate at
-    a time, its sign carried along, and a prefix is cut as soon as a
-    partial sum of the argument goes negative: every term it would reach
-    has P = 0.
+    The value is the pruned sum (see _weyl_sum) of
+    eps(w) P(w(kappa+rho) - (nu+rho)) over the signed permutations w, P
+    being the partition function of the complement roots.
     """
     m = spec.total()
     kappa = Partition(kappa).padded(m)
@@ -235,29 +243,9 @@ def branching_coefficient(kappa, spec, nu):
     else:
         nu_vec = check_weight(nu, m)
     r = weyl.rho(("C", m))
-    target = tuple(a + b for a, b in zip(nu_vec, r))
-    shifted = tuple(a + b for a, b in zip(kappa, r))
-    count = _complement_counter(spec).count
-    arg = [0] * m
-    total = 0
-
-    def place(i, free, partial, eps):
-        # free: the input coordinates not yet placed, in increasing order;
-        # taking the one at index idx adds idx inversions to the permutation
-        nonlocal total
-        if i == m:
-            total += eps * count(tuple(arg))
-            return
-        t = target[i]
-        for idx, j in enumerate(free):
-            rest = free[:idx] + free[idx + 1:]
-            e = -eps if idx & 1 else eps
-            for x, s in ((shifted[j] - t, e), (-shifted[j] - t, -e)):
-                if partial + x >= 0:
-                    arg[i] = x
-                    place(i + 1, rest, partial + x, s)
-
-    place(0, tuple(range(m)), 0, 1)
+    total = _weyl_sum(_complement_counter(spec).count,
+                      tuple(a + b for a, b in zip(kappa, r)),
+                      tuple(a + b for a, b in zip(nu_vec, r)), True)
     if total < 0:
         raise HowekitError("negative branching coefficient for %r" % (kappa,))
     return total

@@ -8,10 +8,6 @@ failure list means the identity held on every cell.  The injectivity scan
 is a falsification harness rather than a proof: it searches for distinct
 dominant weights with identical branching vectors and reports whatever it
 finds (expected: nothing).
-
-Sweeps are embarrassingly parallel over cells.  Pass threads > 1 to run
-cells through a thread pool; the merge is ordered by cell key, so reports
-do not depend on the thread count.
 """
 
 import itertools
@@ -28,19 +24,6 @@ from .laurent import LaurentPolynomial
 from .partfn import DiagramSpec, branching_coefficient, weight_multiplicity
 from .partitions import (MultiPartition, Partition, conjugate,
                          enumerate_rectangle, hat, hat_multi)
-
-
-def _pooled(keys, worker, threads):
-    """Map worker over keys, optionally through a thread pool.
-
-    Results come back in key order either way, so callers merge
-    deterministically.
-    """
-    if threads is not None and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, keys))
-    return [worker(k) for k in keys]
 
 
 def _report(cells, failures, t0):
@@ -103,7 +86,7 @@ def multiplicity_branch_route(lam, symbols, sizes, mu, n):
     return branching_coefficient(kappa_w, spec.reversed(), hat_multi(mu, n))
 
 
-def verify_schur_duality(n, m, threads=None):
+def verify_schur_duality(n, m):
     """Sweep the type A duality over every mu in the n x m rectangle.
 
     For each mu, the gl_n expansion of e_{mu'_1}...e_{mu'_m} is compared
@@ -140,10 +123,10 @@ def verify_schur_duality(n, m, threads=None):
                               "char_route": left, "weight_mult": right})
         return count, fails
 
-    return _merge(_pooled(lams, cell, threads), t0)
+    return _merge(map(cell, lams), t0)
 
 
-def verify_howe_duality(n, m, threads=None):
+def verify_howe_duality(n, m):
     """Sweep the type C duality over every mu in the n x m rectangle.
 
     The sp_2n expansion of the product of folded e_{mu'_j} is compared
@@ -178,7 +161,7 @@ def verify_howe_duality(n, m, threads=None):
                               "char_route": left, "weight_mult": right})
         return count, fails
 
-    return _merge(_pooled(lams, cell, threads), t0)
+    return _merge(map(cell, lams), t0)
 
 
 def _specs_up_to(r_max, size_bound):
@@ -191,7 +174,7 @@ def _specs_up_to(r_max, size_bound):
     return out
 
 
-def verify_generalized_duality(n, r_max, size_bound, threads=None):
+def verify_generalized_duality(n, r_max, size_bound):
     """Cross-check the two multiplicity routes on every block shape.
 
     Sweeps all symbol sequences in {A,C}^r for r <= r_max, all block sizes
@@ -230,14 +213,14 @@ def verify_generalized_duality(n, r_max, size_bound, threads=None):
                                   "char_route": left, "branch_route": right})
         return count, fails
 
-    return _merge(_pooled(specs, cell, threads), t0)
+    return _merge(map(cell, specs), t0)
 
 
 def _compositions(m, bound):
     return list(itertools.product(range(bound + 1), repeat=m))
 
 
-def verify_bijection(n, m, threads=None):
+def verify_bijection(n, m):
     """Check that star pairs highest weight vertices with King tableaux.
 
     For every column-height vector mu' with entries <= 2n and every lam in
@@ -291,7 +274,7 @@ def verify_bijection(n, m, threads=None):
         return count, fails
 
     keys = _compositions(m, 2 * n)
-    return _merge(_pooled(keys, cell, threads), t0)
+    return _merge(map(cell, keys), t0)
 
 
 def _removed_pair(before, after, j):
@@ -308,7 +291,7 @@ def _removed_pair(before, after, j):
     return gone
 
 
-def verify_contraction(n, m, threads=None):
+def verify_contraction(n, m):
     """Check that kappa_j removes one (bar k, k) pair and commutes with
     every crystal operator e_i, 0 <= i <= n-1, as partial maps."""
     t0 = time.perf_counter()
@@ -337,10 +320,10 @@ def verify_contraction(n, m, threads=None):
         return count, fails
 
     keys = _compositions(m, 2 * n)
-    return _merge(_pooled(keys, cell, threads), t0)
+    return _merge(map(cell, keys), t0)
 
 
-def verify_jdt(n, m, threads=None):
+def verify_jdt(n, m):
     """Check that the jeu de taquin slides agree with the transported
     barred raising operators on every vertex, as partial maps."""
     t0 = time.perf_counter()
@@ -360,7 +343,7 @@ def verify_jdt(n, m, threads=None):
         return count, fails
 
     keys = _compositions(m, 2 * n)
-    return _merge(_pooled(keys, cell, threads), t0)
+    return _merge(map(cell, keys), t0)
 
 
 def _position_classes(spec, parabolic):

@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import LimitExceeded
-from .partitions import check_weight
+from .partitions import Partition, check_weight
 
 FAMILIES = ("A", "C")
 
@@ -32,6 +32,19 @@ def check_id(id):
     if m < 1:
         raise ValueError("rank parameter must be >= 1")
     return family, m
+
+
+def check_dominant(lam, id):
+    """Validate lam as a dominant weight for id; return it as a length-m
+    tuple.  lam is a Partition or a weight vector."""
+    family, m = check_id(id)
+    v = lam.padded(m) if isinstance(lam, Partition) else check_weight(lam, m)
+    for a, b in zip(v, v[1:]):
+        if a < b:
+            raise ValueError("weight %r is not dominant for %s" % (v, family))
+    if family == "C" and v[-1] < 0:
+        raise ValueError("weight %r is not dominant for C" % (v,))
+    return v
 
 
 class WeylElement:

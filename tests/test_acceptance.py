@@ -36,10 +36,10 @@ from howekit.weyl import (WeylElement, dot_delta_C, dot_rho, enumerate_weyl,
                           positive_roots, sign, transposition)
 
 
-def _sweep(fn, pairs, threads=1):
+def _sweep(fn, pairs):
     cells, fails = 0, 0
     for n, m in pairs:
-        rep = fn(n, m, threads)
+        rep = fn(n, m)
         cells += rep["cells"]
         fails += len(rep["failures"])
     return cells, fails
@@ -227,7 +227,7 @@ def test_ac10_generalized_duality():
     t0 = time.perf_counter()
     cells, fails = 0, 0
     for n in (1, 2, 3):
-        rep = verify_generalized_duality(n, 2, 2, threads=1)
+        rep = verify_generalized_duality(n, 2, 2)
         cells += rep["cells"]
         fails += len(rep["failures"])
     dt = time.perf_counter() - t0

@@ -124,8 +124,7 @@ def test_charge_requires_one_mode(capsys):
 
 
 def test_verify_clean_exit_zero(capsys):
-    rc, out, _ = run(capsys, ["verify-howe", "--n", "1", "--m", "1",
-                              "--threads", "1"])
+    rc, out, _ = run(capsys, ["verify-howe", "--n", "1", "--m", "1"])
     assert rc == 0
     rep = json.loads(out)
     assert rep["failures"] == []
@@ -135,7 +134,7 @@ def test_verify_failure_exit_one(capsys, monkeypatch):
     from howekit import verify as vmod
     bad = {"cells": 1, "failures": [{"lam": [1]}], "runtime_ms": 0}
     monkeypatch.setattr(vmod, "verify_howe_duality",
-                        lambda n, m, threads=None: bad)
+                        lambda n, m: bad)
     rc, out, _ = run(capsys, ["verify-howe", "--n", "1", "--m", "1"])
     assert rc == 1
     assert json.loads(out) == bad
@@ -144,7 +143,7 @@ def test_verify_failure_exit_one(capsys, monkeypatch):
 def test_injectivity_subcommand(capsys):
     rc, out, _ = run(capsys, ["injectivity", "--symbols", "CC",
                               "--sizes", "1,1", "--part-bound", "1",
-                              "--n-bound", "1", "--threads", "1"])
+                              "--n-bound", "1"])
     assert rc == 0
     assert json.loads(out)["failures"] == []
 
@@ -200,3 +199,10 @@ def test_character_subcommand(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert {"coef": 1, "exp": [1]} in obj and {"coef": 1, "exp": [-1]} in obj
+
+
+def test_character_rank_zero_exits_two(capsys):
+    rc, out, err = run(capsys, ["character", "--family", "C", "--n", "0",
+                                "--lam", ""])
+    assert (rc, out) == (2, "")
+    assert err == "error: rank parameter must be >= 1\n"

@@ -91,6 +91,24 @@ def test_exact_div_rejects_nondivisible():
         one.exact_div(LaurentPolynomial.zero(1))
 
 
+def test_exact_div_rejects_before_step_cap():
+    # the lex lower bound on quotient exponents, not the step cap,
+    # detects these inexact divisions within a few steps
+    from howekit import HowekitError
+    one = LaurentPolynomial.one(1)
+    x = mono((1,))
+    x1, x2 = mono((1, 0)), mono((0, 1))
+    limits.set_cap("decompose_cap", 5)
+    try:
+        with pytest.raises(HowekitError, match="not exact"):
+            (x + one).exact_div(x - one)
+        with pytest.raises(HowekitError, match="not exact"):
+            (x1 + x2).exact_div(x1 - x2)
+        assert (x1 * x1 - x2 * x2).exact_div(x1 - x2) == x1 + x2
+    finally:
+        limits.set_cap("decompose_cap", None)
+
+
 def test_json_round_trip_and_ordering():
     p = mono((1, -2), 3) + mono((0, 0), -1) + mono((2, 2))
     obj = p.to_json_obj()

@@ -9,12 +9,14 @@ import itertools
 
 import pytest
 
-from howekit import (DiagramSpec, HowekitError, MultiPartition, Partition,
-                     branching_coefficient, kostant_partition,
-                     restricted_partition, twisted_partition_C,
-                     weight_multiplicity, weyl_character)
+from howekit import (DiagramSpec, HowekitError, LimitExceeded,
+                     MultiPartition, Partition, branching_coefficient,
+                     kostant_partition, restricted_partition,
+                     twisted_partition_C, weight_multiplicity,
+                     weyl_character)
 from howekit.partitions import involution_I
-from howekit.weyl import act, enumerate_weyl, positive_roots, rho, sign
+from howekit.weyl import (MAX_RANK, act, dot_rho, enumerate_weyl,
+                          positive_roots, rho, sign)
 
 
 def brute(roots, beta):
@@ -185,3 +187,37 @@ def test_branching_pruned_sum_matches_unpruned():
                 else:
                     assert branching_coefficient(kappa, spec, nu) == want, \
                         (spec, kappa, nu)
+
+
+def unpruned_weight_multiplicity(id, lam, mu):
+    """Kostant's alternating sum over all of W, no term skipped."""
+    roots = positive_roots(id)
+    total = 0
+    for w in enumerate_weyl(id):
+        arg = tuple(a - b for a, b in zip(dot_rho(w, lam, id), mu))
+        total += sign(w) * kostant_partition(roots, arg)
+    return total
+
+
+def test_weight_multiplicity_pruned_sum_matches_unpruned():
+    for id, part_max, span in ((("A", 1), 3, 3), (("A", 2), 3, 3),
+                               (("A", 3), 2, 2), (("C", 1), 3, 3),
+                               (("C", 2), 3, 3)):
+        m = id[1]
+        # every mu in the box, non-dominant and negative entries included
+        mus = list(itertools.product(range(-span, span + 1), repeat=m))
+        nonzero = 0
+        for lam in partitions_in_box(m, part_max):
+            vec = lam.padded(m)
+            for mu in mus:
+                want = unpruned_weight_multiplicity(id, vec, mu)
+                assert weight_multiplicity(id, lam, mu) == want, (id, lam, mu)
+                nonzero += want != 0
+        assert nonzero > len(mus) // 4, id
+
+
+def test_weight_multiplicity_rank_cap():
+    m = MAX_RANK["A"] + 1
+    with pytest.raises(LimitExceeded,
+                       match="^rank 11 above enumeration cap for type A$"):
+        weight_multiplicity(("A", m), Partition((1,)), (1,) + (0,) * (m - 1))
