@@ -21,54 +21,27 @@ from the string lengths of the lowest weight vertex, or equivalently
 from contraction counts delta_j and slide counts gamma_j.
 """
 
+from functools import lru_cache
 from math import ceil
 
-from .crystals import TensorElement, is_admissible
+from .crystals import TensorElement, _lower, _raise, is_admissible
 from .duality import KingElement, KingEntry, king_weight, star, star_inverse
 from .errors import HowekitError
 
 
-def _king_signature(idx, m):
+@lru_cache(maxsize=None)
+def _king_f_map(idx, m):
+    # f on the letters it acts on, j -> jbar or jbar -> j+1; cached and shared
     j = abs(int(idx))
     if idx > 0:
         if not 1 <= j <= m:
             raise HowekitError("unbarred index %d outside 1..%d" % (j, m))
-        plus = KingEntry(j, False)
-        minus = KingEntry(j, True)
-    elif idx < 0:
+        return {KingEntry(j, False): KingEntry(j, True)}
+    if idx < 0:
         if not 1 <= j <= m - 1:
             raise HowekitError("barred index %d outside 1..%d" % (j, m - 1))
-        plus = KingEntry(j, True)
-        minus = KingEntry(j + 1, False)
-    else:
-        raise HowekitError("operator index must be nonzero")
-    return plus, minus
-
-
-def _king_bracket(idx, t):
-    plus, minus = _king_signature(idx, t.m)
-    stack = []
-    open_minus = []
-    # reading: columns right to left, each top to bottom
-    for i in range(len(t.columns) - 1, -1, -1):
-        for e in t.columns[i]:
-            if e == plus:
-                stack.append((i, e))
-            elif e == minus:
-                if stack:
-                    stack.pop()
-                else:
-                    open_minus.append((i, e))
-    return stack, open_minus
-
-
-def _king_apply(t, i, old, new):
-    col = t.columns[i]
-    entries = sorted((set(col) - {old}) | {new}, key=KingEntry.key)
-    if len(entries) != len(col):
-        raise HowekitError("operator collision in column %r"
-                           % ([str(e) for e in col],))
-    return t.replace(i, tuple(entries))
+        return {KingEntry(j, True): KingEntry(j + 1, False)}
+    raise HowekitError("operator index must be nonzero")
 
 
 def king_f(idx, t):
@@ -81,12 +54,7 @@ def king_f(idx, t):
     >>> king_f(2, t).to_json_obj()
     [['1b', '2b'], ['1', '1b', '2b'], ['1', '2']]
     """
-    stack, _ = _king_bracket(idx, t)
-    if not stack:
-        return None
-    i, e = stack[0]
-    plus, minus = _king_signature(idx, t.m)
-    return _king_apply(t, i, plus, minus)
+    return _lower(t, reversed(range(len(t.columns))), _king_f_map(idx, t.m))
 
 
 def king_e(idx, t):
@@ -99,12 +67,7 @@ def king_e(idx, t):
     >>> king_e(1, t) is None and king_e(2, t) is None and king_f(1, t) is None
     True
     """
-    _, open_minus = _king_bracket(idx, t)
-    if not open_minus:
-        return None
-    i, e = open_minus[-1]
-    plus, minus = _king_signature(idx, t.m)
-    return _king_apply(t, i, minus, plus)
+    return _raise(t, reversed(range(len(t.columns))), _king_f_map(idx, t.m))
 
 
 def kappa(j, b):
@@ -329,54 +292,55 @@ def gamma_count(j, b_dil):
     return _min_offset(list(bc.columns[2 * j]), list(bc.columns[2 * j - 1]))
 
 
+def _charge_sum(m, unbarred, barred):
+    """The charge weighting of the unbarred counts u_1..u_m (all even) and
+    the barred counts b_1..b_{m-1}:
+    sum (2(m-j)+1) u_j/2 + sum 2(m-j) ceil(b_j/2)."""
+    total = 0
+    for j, u in enumerate(unbarred, start=1):
+        if u % 2:
+            raise HowekitError("odd unbarred count %d at %d" % (u, j))
+        total += (2 * (m - j) + 1) * (u // 2)
+    for j, b in enumerate(barred, start=1):
+        total += 2 * (m - j) * ceil(b / 2)
+    return total
+
+
 def charge_king(t):
-    """The charge of a weight-zero King tableau, via its lowest weight
-    vertex in the unbarred string crystal."""
+    """The charge of a weight-zero King tableau, via the string lengths of
+    its lowest weight vertex in the unbarred string crystal."""
     m = t.m
     if king_weight(t) != (0,) * m:
         raise HowekitError("charge needs weight zero, got %r" % (king_weight(t),))
     low = to_lowest(t)
-    total = 0
-    for j in range(1, m + 1):
-        eps = epsilon_string(j, low)
-        if eps % 2:
-            raise HowekitError("odd unbarred string length %d" % eps)
-        total += (2 * (m - j) + 1) * (eps // 2)
-    for j in range(1, m):
-        total += 2 * (m - j) * ceil(epsilon_string(-j, low) / 2)
-    return total
+    return _charge_sum(m, [epsilon_string(j, low) for j in range(1, m + 1)],
+                       [epsilon_string(-j, low) for j in range(1, m)])
+
+
+def _counts(b):
+    """The contraction counts delta_j and the dilated slide counts gamma_j."""
+    m = len(b.columns)
+    deltas = [delta_count(j, b) for j in range(1, m + 1)]
+    b_dil = dilate_fully(b)
+    return deltas, [gamma_count(j, b_dil) for j in range(1, m)]
 
 
 def D_statistic(b):
     """The symplectic charge: computed from contraction counts delta_j
     and slide counts gamma_j of the dilated element; equals the charge
     of star(b) on weight-zero highest weight elements."""
-    m = len(b.columns)
-    n = b.n
-    if any(len(c) != n for c in b.columns):
-        raise HowekitError("D needs every column of height %d (weight zero)" % n)
-    deltas = [delta_count(j, b) for j in range(1, m + 1)]
-    b_dil = dilate_fully(b)
-    gammas = [gamma_count(j, b_dil) for j in range(1, m)]
-    total = 0
-    for j, d in enumerate(deltas, start=1):
-        if d % 2:
-            raise HowekitError("odd contraction count %d" % d)
-        total += (2 * (m - j) + 1) * (d // 2)
-    for j, g in enumerate(gammas, start=1):
-        total += 2 * (m - j) * ceil(g / 2)
-    return total
+    if any(len(c) != b.n for c in b.columns):
+        raise HowekitError("D needs every column of height %d (weight zero)"
+                           % b.n)
+    return _charge_sum(len(b.columns), *_counts(b))
 
 
 def statistics(b):
     """The JSON-friendly bundle: charge, D and the underlying counts."""
-    m = len(b.columns)
-    deltas = [delta_count(j, b) for j in range(1, m + 1)]
-    b_dil = dilate_fully(b)
-    gammas = [gamma_count(j, b_dil) for j in range(1, m)]
+    deltas, gammas = _counts(b)
     return {
         "charge": charge_king(star(b)),
-        "D": D_statistic(b),
+        "D": _charge_sum(len(b.columns), deltas, gammas),
         "delta": deltas,
         "gamma": gammas,
     }

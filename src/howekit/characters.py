@@ -18,8 +18,7 @@ from itertools import combinations
 from . import limits, weyl
 from .errors import HowekitError, NotACharacter
 from .laurent import LaurentPolynomial
-from .partitions import MultiPartition, Partition, check_weight, conjugate, \
-    reduce_column_full
+from .partitions import Partition, check_weight, conjugate, reduce_column_full
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +282,7 @@ def decompose(p, family, rank):
     invariant polynomial is dominant.  Raises NotACharacter when the input
     is not invariant or a negative multiplicity shows up.
     """
-    family = str(family).upper()
+    family, rank = weyl.check_id((family, rank))
     if p.nvars != rank:
         raise ValueError("polynomial arity %d does not match rank %d"
                          % (p.nvars, rank))

@@ -61,10 +61,21 @@ def _parse_symbols(text):
     return tuple(text.replace(",", "").strip().upper())
 
 
+def _json_columns(text, kind):
+    """A JSON list of columns, each a list of entries of type kind."""
+    cols = json.loads(text)
+    if not isinstance(cols, list) or not all(
+            isinstance(c, list) and all(type(x) is kind for x in c)
+            for c in cols):
+        raise ValueError("expected a JSON list of columns of %s entries"
+                         % kind.__name__)
+    return cols
+
+
 def _parse_element(text, n):
     text = text.strip()
     if text.startswith("["):
-        cols = json.loads(text)
+        cols = _json_columns(text, int)
     else:
         cols = [_parse_ints(c) for c in text.split(";")]
     return TensorElement(cols, n)
@@ -73,7 +84,7 @@ def _parse_element(text, n):
 def _parse_king(text, m):
     text = text.strip()
     if text.startswith("["):
-        return KingElement.from_json_obj(json.loads(text), m)
+        return KingElement.from_json_obj(_json_columns(text, str), m)
     cols = []
     for c in text.split(";"):
         c = c.strip()
@@ -154,6 +165,12 @@ def _cmd_decompose(ns):
     else:
         with open(ns.input) as f:
             obj = json.load(f)
+    if not isinstance(obj, list) or not all(
+            isinstance(t, dict) and isinstance(t.get("exp"), list)
+            and all(type(x) is int for x in t["exp"])
+            and type(t.get("coef")) is int for t in obj):
+        raise ValueError('expected a JSON list of {"exp": [int, ...], '
+                         '"coef": int} terms')
     p = LaurentPolynomial.from_json_obj(obj, ns.n)
     _emit(decompose(p, _family(ns), ns.n).to_json_obj())
     return 0
@@ -226,40 +243,38 @@ def _cmd_charge(ns):
     return 0
 
 
-def _sweep(ns, rep):
+def _sweep(rep):
     _emit(rep)
     return 1 if rep["failures"] else 0
 
 
 def _cmd_verify_schur(ns):
-    return _sweep(ns, verify.verify_schur_duality(ns.n, ns.m))
+    return _sweep(verify.verify_schur_duality(ns.n, ns.m))
 
 
 def _cmd_verify_howe(ns):
-    return _sweep(ns, verify.verify_howe_duality(ns.n, ns.m))
+    return _sweep(verify.verify_howe_duality(ns.n, ns.m))
 
 
 def _cmd_verify_bijection(ns):
-    return _sweep(ns, verify.verify_bijection(ns.n, ns.m))
+    return _sweep(verify.verify_bijection(ns.n, ns.m))
 
 
 def _cmd_verify_contraction(ns):
-    return _sweep(ns, verify.verify_contraction(ns.n, ns.m))
+    return _sweep(verify.verify_contraction(ns.n, ns.m))
 
 
 def _cmd_verify_jdt(ns):
-    return _sweep(ns, verify.verify_jdt(ns.n, ns.m))
+    return _sweep(verify.verify_jdt(ns.n, ns.m))
 
 
 def _cmd_verify_generalized(ns):
-    return _sweep(ns, verify.verify_generalized_duality(
-        ns.n, ns.r, ns.size_bound))
+    return _sweep(verify.verify_generalized_duality(ns.n, ns.r, ns.size_bound))
 
 
 def _cmd_injectivity(ns):
     spec = DiagramSpec(_parse_symbols(ns.symbols), _parse_ints(ns.sizes))
-    return _sweep(ns, verify.injectivity_scan(spec, ns.part_bound,
-                                              ns.n_bound))
+    return _sweep(verify.injectivity_scan(spec, ns.part_bound, ns.n_bound))
 
 
 # -- parser -----------------------------------------------------------------

@@ -13,14 +13,19 @@ contribute a plus, the letters -i and i+1 a minus; f sends
 -(i+1) -> -i and i -> i+1 at the leftmost unbracketed plus, e undoes the
 rightmost unbracketed minus.  For i = 0 the letter -1 is a plus, 1 is a
 minus, and f sends -1 -> 1: this is the orientation of the 0-arrows in
-the vector crystal nbar -> ... -> 1bar -> 1 -> ... -> n.
+the vector crystal nbar -> ... -> 1bar -> 1 -> ... -> n.  The rule only
+needs the column reading order and the map f on letters, so the dual
+crystal of the bicrystal module runs on the same routine.
 """
 
 import json
+from functools import lru_cache
+from itertools import combinations
 from math import comb, prod
 
 from .errors import HowekitError, LimitExceeded
 from .limits import get_cap
+from .partitions import Partition
 
 
 def check_column(entries, n):
@@ -93,40 +98,21 @@ class TensorElement:
         return [list(c) for c in self.columns]
 
 
-def _signature(i, n):
-    # plus letters are those on which f_i acts, minus letters those on
-    # which e_i acts
-    if i == 0:
-        return {-1}, {1}
-    if not 1 <= i <= n - 1:
-        raise HowekitError("operator index %d outside 0..%d" % (i, n - 1))
-    return {-(i + 1), i}, {-i, i + 1}
+def _bracket(columns, order, f_map):
+    """Positions of the unbracketed plus and minus symbols of a word.
 
-
-def _f_letter(i, x):
-    if i == 0:
-        return 1
-    return -i if x == -(i + 1) else i + 1
-
-
-def _e_letter(i, x):
-    if i == 0:
-        return -1
-    return -(i + 1) if x == -i else i
-
-
-def _bracket(b, i):
-    """Positions of the unbracketed plus and minus symbols of the word.
-
-    Returns (plus_positions, minus_positions), each as (column, letter)
-    pairs in word order, after recursively cancelling +- pairs.
+    The word reads the columns in the given order of their indices, each
+    from top to bottom; the plus letters are the keys of f_map (those f
+    acts on) and the minus letters its values.  Returns
+    (plus_positions, minus_positions), each as (column, letter) pairs in
+    word order, after recursively cancelling +- pairs.
     """
-    plus, minus = _signature(i, b.n)
+    minus = set(f_map.values())
     stack = []
     open_minus = []
-    for j, c in enumerate(b.columns):
-        for x in c:
-            if x in plus:
+    for j in order:
+        for x in columns[j]:
+            if x in f_map:
                 stack.append((j, x))
             elif x in minus:
                 if stack:
@@ -144,6 +130,34 @@ def _apply_at(b, j, old, new):
     return b.replace(j, tuple(entries))
 
 
+def _lower(b, order, f_map):
+    """The signature rule's f: change the leftmost unbracketed plus."""
+    stack, _ = _bracket(b.columns, order, f_map)
+    if not stack:
+        return None
+    j, x = stack[0]
+    return _apply_at(b, j, x, f_map[x])
+
+
+def _raise(b, order, f_map):
+    """The signature rule's e: undo f at the rightmost unbracketed minus."""
+    _, open_minus = _bracket(b.columns, order, f_map)
+    if not open_minus:
+        return None
+    j, x = open_minus[-1]
+    return _apply_at(b, j, x, {v: k for k, v in f_map.items()}[x])
+
+
+@lru_cache(maxsize=None)
+def _f_map(i, n):
+    # f_i on the letters it acts on; the cached dict is shared, never mutate it
+    if i == 0:
+        return {-1: 1}
+    if not 1 <= i <= n - 1:
+        raise HowekitError("operator index %d outside 0..%d" % (i, n - 1))
+    return {-(i + 1): -i, i: i + 1}
+
+
 def crystal_f(i, b):
     """Kashiwara lowering operator f_i, or None when it vanishes.
 
@@ -151,11 +165,7 @@ def crystal_f(i, b):
     >>> crystal_f(1, b).word()
     (-1, 2, -2, 1, 2, 2, 1, -1, -1)
     """
-    stack, _ = _bracket(b, i)
-    if not stack:
-        return None
-    j, x = stack[0]
-    return _apply_at(b, j, x, _f_letter(i, x))
+    return _lower(b, range(len(b.columns)), _f_map(i, b.n))
 
 
 def crystal_e(i, b):
@@ -165,11 +175,7 @@ def crystal_e(i, b):
     >>> crystal_e(1, b).word()
     (-1, 1, -2, 1, 2, 2, 1, -1, -2)
     """
-    _, open_minus = _bracket(b, i)
-    if not open_minus:
-        return None
-    j, x = open_minus[-1]
-    return _apply_at(b, j, x, _e_letter(i, x))
+    return _raise(b, range(len(b.columns)), _f_map(i, b.n))
 
 
 def weight_of(b):
@@ -238,8 +244,6 @@ def is_coadmissible(c, n):
 
 
 def _columns_of_height(h, n):
-    from itertools import combinations
-
     alphabet = [x for x in range(-n, n + 1) if x != 0]
     return list(combinations(alphabet, h))
 
@@ -289,8 +293,6 @@ def highest_weight_seed(lam, n, m=None):
     Column j is the top lam'_j letters -n, ..., -(n - lam'_j + 1); the
     connected component of this vertex realizes the crystal B(lam).
     """
-    from .partitions import Partition
-
     lam = Partition(lam)
     heights = lam.conjugate().stripped()
     if any(h > n for h in heights):

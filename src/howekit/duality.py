@@ -19,9 +19,10 @@ highest weight vertices it produces King tableaux, with shape and weight
 given by the rectangle complement maps.
 """
 
+from itertools import combinations
 from math import comb, prod
 
-from .crystals import TensorElement, is_highest_weight, weight_of
+from .crystals import TensorElement, highest_weight_vertices
 from .errors import HowekitError, LimitExceeded, MalformedTableau
 from .limits import get_cap
 from .partitions import Partition, hat
@@ -285,8 +286,6 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
     if guard > get_cap("enum_cap"):
         raise LimitExceeded("King enumeration size %d exceeds cap" % guard)
 
-    from itertools import combinations
-
     alphabet = [KingEntry.from_key(k) for k in range(1, 2 * m + 1)]
     columns_by_height = {}
     for h in set(heights):
@@ -315,6 +314,40 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
     return out
 
 
+def star_pairing(vertices, lam_hat, mu_hat, n, m):
+    """Pair each vertex with its star image; check that this is a
+    bijection onto the King tableaux of shape lam_hat and weight mu_hat,
+    with star_inverse undoing it.
+
+    Returns (pairs, None), or (None, failure) where failure holds the
+    "reason" and the offending "element" or the "missing" tableaux.
+    """
+    pairs = []
+    images = set()
+    for b in vertices:
+        t = star(b)
+        if star_inverse(t, n, m) != b:
+            reason = "star not invertible"
+        elif t.shape() != lam_hat:
+            reason = "shape mismatch"
+        elif king_weight(t) != mu_hat:
+            reason = "weight mismatch"
+        elif not is_king_tableau(t):
+            reason = "image not King"
+        else:
+            images.add(t)
+            pairs.append((b, t))
+            continue
+        return None, {"element": b.to_json_obj(), "reason": reason}
+    expected = enumerate_king_tableaux(lam_hat, mu_hat, m, n)
+    if images != set(expected):
+        missing = [t.to_json_obj() for t in expected if t not in images]
+        return None, {"reason": "image set mismatch", "missing": missing}
+    if len(images) != len(vertices):
+        return None, {"reason": "star not injective"}
+    return pairs, None
+
+
 def verify_combinatorial_howe(n, m, mu_prime, lam):
     """Check that star maps B^hw_{mu',lam} bijectively onto the King
     tableaux of shape hat(lam) and weight hat(mu).
@@ -322,8 +355,6 @@ def verify_combinatorial_howe(n, m, mu_prime, lam):
     Returns a report dict with the explicit pairing; on failure the
     offending element is recorded under "failure".
     """
-    from .crystals import highest_weight_vertices
-
     mu_prime = tuple(int(h) for h in mu_prime)
     lam = Partition(lam)
     if not lam.fits_in(n, len(mu_prime)):
@@ -334,29 +365,7 @@ def verify_combinatorial_howe(n, m, mu_prime, lam):
     mu_hat = tuple(n - h for h in reversed(mu_prime))
 
     vertices = highest_weight_vertices(mu_prime, lam.padded(n), n)
-    pairs = []
-    images = set()
-    for b in vertices:
-        t = star(b)
-        if star_inverse(t, n, m) != b:
-            return {"ok": False, "failure": {"element": b.to_json_obj(),
-                                             "reason": "star not invertible"}}
-        if t.shape() != lam_hat:
-            return {"ok": False, "failure": {"element": b.to_json_obj(),
-                                             "reason": "shape mismatch"}}
-        if king_weight(t) != mu_hat:
-            return {"ok": False, "failure": {"element": b.to_json_obj(),
-                                             "reason": "weight mismatch"}}
-        if not is_king_tableau(t):
-            return {"ok": False, "failure": {"element": b.to_json_obj(),
-                                             "reason": "image not King"}}
-        images.add(t)
-        pairs.append((b, t))
-    expected = enumerate_king_tableaux(lam_hat, mu_hat, m, n)
-    if images != set(expected):
-        missing = [t.to_json_obj() for t in expected if t not in images]
-        return {"ok": False, "failure": {"reason": "image set mismatch",
-                                         "missing": missing}}
-    if len(images) != len(vertices):
-        return {"ok": False, "failure": {"reason": "star not injective"}}
+    pairs, failure = star_pairing(vertices, lam_hat, mu_hat, n, m)
+    if failure is not None:
+        return {"ok": False, "failure": failure}
     return {"ok": True, "pairs": pairs}

@@ -7,8 +7,6 @@ partitions with at most n parts, every part at most m.  For a weight
 vector w, I(w) reverses the coordinates and negates them.
 """
 
-from .errors import HowekitError
-
 
 def _as_parts(parts):
     if isinstance(parts, Partition):

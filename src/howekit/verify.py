@@ -17,8 +17,7 @@ from . import limits
 from .bicrystal import jdt_bar, kappa
 from .characters import char_product, decompose, elem_sym
 from .crystals import crystal_e, enumerate_B, is_highest_weight, weight_of
-from .duality import (enumerate_king_tableaux, is_king_tableau, king_weight,
-                      star, star_inverse)
+from .duality import star_pairing
 from .errors import HowekitError, LimitExceeded
 from .laurent import LaurentPolynomial
 from .partfn import DiagramSpec, branching_coefficient, weight_multiplicity
@@ -226,7 +225,8 @@ def verify_bijection(n, m):
     For every column-height vector mu' with entries <= 2n and every lam in
     the n x m rectangle, the highest weight vertices of weight lam must map
     bijectively onto the King tableaux of shape hat(lam) and weight
-    hat(mu), with star_inverse undoing the map.
+    hat(mu), with star_inverse undoing the map.  A failed cell lists its
+    mu_prime and lam next to the failure of duality.star_pairing.
     """
     t0 = time.perf_counter()
     lams = list(enumerate_rectangle(n, m))
@@ -248,29 +248,10 @@ def verify_bijection(n, m):
         for lam in lams:
             count += 1
             vertices = buckets.get(tuple(lam.padded(n)), [])
-            lam_hat = hat(lam, n, m)
-            images = set()
-            broken = False
-            for b in vertices:
-                t = star(b)
-                if (star_inverse(t, n, m) != b or t.shape() != lam_hat
-                        or king_weight(t) != mu_hat
-                        or not is_king_tableau(t)):
-                    fails.append({"mu_prime": mu_tag,
-                                  "lam": list(lam.stripped()),
-                                  "element": b.to_json_obj(),
-                                  "reason": "pairing broken"})
-                    broken = True
-                    break
-                images.add(t)
-            if broken:
-                continue
-            expected = set(enumerate_king_tableaux(lam_hat, mu_hat, m, n))
-            if len(images) != len(vertices) or images != expected:
-                fails.append({"mu_prime": mu_tag,
-                              "lam": list(lam.stripped()),
-                              "crystal_count": len(vertices),
-                              "king_count": len(expected)})
+            _, failure = star_pairing(vertices, hat(lam, n, m), mu_hat, n, m)
+            if failure is not None:
+                fails.append(dict(failure, mu_prime=mu_tag,
+                                  lam=list(lam.stripped())))
         return count, fails
 
     keys = _compositions(m, 2 * n)

@@ -106,20 +106,11 @@ class WeylElement:
         return WeylElement(tuple(perm), tuple(signs))
 
 
-def identity(m):
-    return WeylElement(tuple(range(1, m + 1)))
-
-
 def transposition(i, m):
     """The simple reflection s_i swapping coordinates i and i+1 (1-based)."""
     perm = list(range(1, m + 1))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return WeylElement(tuple(perm))
-
-
-def sign_flip(m):
-    """The type C generator s_m changing the sign of the last coordinate."""
-    return WeylElement(tuple(range(1, m + 1)), (1,) * (m - 1) + (-1,))
 
 
 def _perm_sign(perm):

@@ -206,3 +206,30 @@ def test_character_rank_zero_exits_two(capsys):
                                 "--lam", ""])
     assert (rc, out) == (2, "")
     assert err == "error: rank parameter must be >= 1\n"
+
+
+@pytest.mark.parametrize("args,stdin", [
+    (["verify-howe", "--n", "0", "--m", "0"], None),
+    (["verify-schur", "--n", "0", "--m", "1"], None),
+    (["verify-generalized", "--n", "0", "--r", "1"], None),
+    (["decompose", "--family", "C", "--n", "0"], '[{"exp":[],"coef":1}]'),
+])
+def test_rank_zero_exits_two(capsys, monkeypatch, args, stdin):
+    rc, out, err = run(capsys, args, stdin, monkeypatch)
+    assert (rc, out) == (2, "")
+    assert err == "error: rank parameter must be >= 1\n"
+
+
+@pytest.mark.parametrize("args,stdin", [
+    (["king-check", "--element", "[[1]]", "--m", "1"], None),
+    (["king-check", "--element", "[1]", "--m", "1"], None),
+    (["crystal-graph", "--seed", "[1]", "--n", "1"], None),
+    (["crystal-graph", "--seed", '[["1"]]', "--n", "1"], None),
+    (["decompose", "--family", "C", "--n", "1"], "[1]"),
+    (["decompose", "--family", "C", "--n", "1"], '{"a":1}'),
+    (["decompose", "--family", "C", "--n", "1"], '[{"exp":1,"coef":1}]'),
+])
+def test_badly_shaped_json_exits_two(capsys, monkeypatch, args, stdin):
+    rc, out, err = run(capsys, args, stdin, monkeypatch)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: expected a JSON list of ")

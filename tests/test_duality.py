@@ -9,6 +9,7 @@ from howekit import (HowekitError, KingElement, KingEntry, MalformedTableau,
                      highest_weight_vertices, is_king_tableau, is_semistandard,
                      king_weight, star, star_inverse, tilde_expand,
                      verify_combinatorial_howe, weight_multiplicity)
+from howekit.duality import star_pairing
 
 
 def K(cols, m):
@@ -166,6 +167,24 @@ def test_verify_combinatorial_howe_report():
     rep = verify_combinatorial_howe(2, 2, (2, 1), Partition((1,)))
     assert rep["ok"]
     assert all(len(pair) == 2 for pair in rep["pairs"])
+
+
+def test_star_pairing_failure_paths():
+    # B^hw_{(1),(1)} at n = 2 is the single column (2bar); its King
+    # partner has shape hat(1) = (1) and weight (n - 1) = (1)
+    b = TensorElement([(-2,)], 2)
+    shape, weight = Partition((1,)), (1,)
+    pairs, failure = star_pairing([b], shape, weight, 2, 1)
+    assert failure is None and pairs == [(b, star(b))]
+    assert star_pairing([b, b], shape, weight, 2, 1) == (
+        None, {"reason": "star not injective"})
+    assert star_pairing([], shape, weight, 2, 1) == (
+        None, {"reason": "image set mismatch",
+               "missing": [star(b).to_json_obj()]})
+    # same sp_4 weight (1, 0), but a column of height 3 has King weight -1
+    tall = TensorElement([(-2, -1, 1)], 2)
+    assert star_pairing([tall], shape, weight, 2, 1) == (
+        None, {"element": [[-2, -1, 1]], "reason": "weight mismatch"})
 
 
 def test_king_json_round_trip():

@@ -120,6 +120,24 @@ def test_bijection_report():
     assert rep["cells"] > 0
 
 
+def test_bijection_failure_entry(monkeypatch):
+    # with no King tableaux to pair with, every nonempty cell fails with
+    # the pairing check's own reason next to its mu' and lam
+    from howekit import duality
+    monkeypatch.setattr(duality, "enumerate_king_tableaux",
+                        lambda *args: [])
+    rep = verify_bijection(1, 1)
+    assert rep["cells"] == 6
+    assert rep["failures"] == [
+        {"mu_prime": [0], "lam": [], "reason": "image set mismatch",
+         "missing": []},
+        {"mu_prime": [1], "lam": [1], "reason": "image set mismatch",
+         "missing": []},
+        {"mu_prime": [2], "lam": [], "reason": "image set mismatch",
+         "missing": []},
+    ]
+
+
 def test_contraction_and_jdt_reports():
     rep = verify_contraction(2, 2)
     assert rep["failures"] == []
