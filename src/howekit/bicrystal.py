@@ -24,6 +24,7 @@ from contraction counts delta_j and slide counts gamma_j.
 from functools import lru_cache
 from math import ceil
 
+from ._value import Value
 from .crystals import TensorElement, _lower, _raise, is_admissible
 from .duality import KingElement, KingEntry, king_weight, star, star_inverse
 from .errors import HowekitError
@@ -91,7 +92,7 @@ def dilate(j, b):
     return star_inverse(t, b.n, len(b.columns))
 
 
-class BarComplement:
+class BarComplement(Value):
     """The 2m barred columns (cbar_1, cbar_1bar, ..., cbar_m, cbar_mbar)."""
 
     __slots__ = ("columns", "n")
@@ -113,17 +114,6 @@ class BarComplement:
             raise HowekitError("expected an even number of columns")
         object.__setattr__(self, "columns", tuple(cols))
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BarComplement is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, BarComplement):
-            return NotImplemented
-        return self.n == other.n and self.columns == other.columns
-
-    def __hash__(self):
-        return hash((self.columns, self.n))
 
     def __repr__(self):
         return "BarComplement(%r, %d)" % (list(map(list, self.columns)), self.n)

@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import limits, weyl
+from ._value import Value
 from .errors import HowekitError, NotACharacter
 from .laurent import LaurentPolynomial
 from .partitions import Partition, check_weight, conjugate, reduce_column_full
@@ -213,7 +214,7 @@ def weyl_character(lam, family, rank):
     return _weyl_character_cached(v, family, rank)
 
 
-class CharacterDecomposition:
+class CharacterDecomposition(Value):
     """Multiplicities of irreducible characters in a W-invariant polynomial."""
 
     __slots__ = ("mults",)
@@ -227,16 +228,10 @@ class CharacterDecomposition:
                 clean[lam] = c
         object.__setattr__(self, "mults", clean)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CharacterDecomposition is immutable")
-
     def __getitem__(self, lam):
         return self.mults.get(Partition(lam), 0)
 
-    def __eq__(self, other):
-        if isinstance(other, CharacterDecomposition):
-            return self.mults == other.mults
-        return NotImplemented
+    __hash__ = None
 
     def __iter__(self):
         return iter(sorted(self.mults, key=lambda p: p.stripped()))

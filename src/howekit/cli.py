@@ -92,7 +92,9 @@ def _parse_king(text, m):
     return KingElement(cols, m)
 
 
-def _apply_config(path):
+def _read_config(path):
+    """The caps of a key=value file, as a dict of integers."""
+    caps = {}
     with open(path) as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
@@ -101,14 +103,8 @@ def _apply_config(path):
             if "=" not in line:
                 raise ValueError("config line without '=': %r" % line)
             key, value = (s.strip() for s in line.split("=", 1))
-            limits.set_cap(key, int(value))
-
-
-def _family(ns):
-    fam = ns.family.upper()
-    if fam not in ("A", "C"):
-        raise ValueError("family must be A or C, got %r" % ns.family)
-    return fam
+            caps[key] = int(value)
+    return caps
 
 
 # -- handlers ---------------------------------------------------------------
@@ -126,19 +122,19 @@ def _cmd_conjugate(ns):
 
 
 def _cmd_kostant(ns):
-    fam = _family(ns)
+    fam, m = weyl.check_id((ns.family, ns.m))
     beta = _parse_ints(ns.beta)
     if ns.twisted:
         if fam != "C":
             raise ValueError("--twisted needs family C")
-        _emit(twisted_partition_C(beta, ns.m))
+        _emit(twisted_partition_C(beta, m))
     else:
-        _emit(kostant_partition(weyl.positive_roots((fam, ns.m)), beta))
+        _emit(kostant_partition(weyl.positive_roots((fam, m)), beta))
     return 0
 
 
 def _cmd_weight_mult(ns):
-    _emit(weight_multiplicity((_family(ns), ns.m),
+    _emit(weight_multiplicity((ns.family, ns.m),
                               Partition(_parse_ints(ns.lam)),
                               _parse_ints(ns.mu)))
     return 0
@@ -154,7 +150,7 @@ def _cmd_branch(ns):
 
 
 def _cmd_character(ns):
-    p = weyl_character(Partition(_parse_ints(ns.lam)), _family(ns), ns.n)
+    p = weyl_character(Partition(_parse_ints(ns.lam)), ns.family, ns.n)
     _emit(p.to_json_obj())
     return 0
 
@@ -172,7 +168,7 @@ def _cmd_decompose(ns):
         raise ValueError('expected a JSON list of {"exp": [int, ...], '
                          '"coef": int} terms')
     p = LaurentPolynomial.from_json_obj(obj, ns.n)
-    _emit(decompose(p, _family(ns), ns.n).to_json_obj())
+    _emit(decompose(p, ns.family, ns.n).to_json_obj())
     return 0
 
 
@@ -282,12 +278,9 @@ def _cmd_injectivity(ns):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="force machine-readable output (the default "
-                             "for every subcommand except crystal-graph "
-                             "--dot)")
     common.add_argument("--config", default=None,
-                        help="key=value file overriding size caps")
+                        help="key=value file overriding size caps for "
+                             "this command")
 
     parser = argparse.ArgumentParser(
         prog="howekit",
@@ -401,11 +394,10 @@ def dispatch(argv):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if ns.config:
-            _apply_config(ns.config)
-        return ns.handler(ns)
-    except (HowekitError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+        caps = _read_config(ns.config) if ns.config else {}
+        with limits.overridden(caps):
+            return ns.handler(ns)
+    except (HowekitError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

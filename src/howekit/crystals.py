@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 
+from ._value import Value
 from .errors import HowekitError, LimitExceeded
 from .limits import get_cap
 from .partitions import Partition
@@ -44,7 +45,7 @@ def check_column(entries, n):
     return col
 
 
-class TensorElement:
+class TensorElement(Value):
     """A tensor product of columns, the basic Fock-space vertex.
 
     >>> b = TensorElement([(-4, -3), (-2, -1, 1), (-4,)], 4)
@@ -64,9 +65,6 @@ class TensorElement:
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, *a):
-        raise AttributeError("TensorElement is immutable")
-
     def word(self):
         """The reading word: columns left to right, each top to bottom."""
         out = []
@@ -82,14 +80,6 @@ class TensorElement:
         cols = list(self.columns)
         cols[j] = column
         return TensorElement(cols, self.n)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.n == other.n and self.columns == other.columns
-
-    def __hash__(self):
-        return hash((self.columns, self.n))
 
     def __repr__(self):
         return "TensorElement(%r, %d)" % (list(map(list, self.columns)), self.n)
@@ -306,7 +296,7 @@ def highest_weight_seed(lam, n, m=None):
     return TensorElement(cols, n)
 
 
-class CrystalGraph:
+class CrystalGraph(Value):
     """A finite crystal graph: vertices in BFS order, labeled edges."""
 
     __slots__ = ("vertices", "edges", "n")
@@ -315,9 +305,6 @@ class CrystalGraph:
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "n", int(n))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CrystalGraph is immutable")
 
     def __len__(self):
         return len(self.vertices)

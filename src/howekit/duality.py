@@ -22,13 +22,14 @@ given by the rectangle complement maps.
 from itertools import combinations
 from math import comb, prod
 
+from ._value import Value
 from .crystals import TensorElement, highest_weight_vertices
 from .errors import HowekitError, LimitExceeded, MalformedTableau
 from .limits import get_cap
 from .partitions import Partition, hat
 
 
-class KingEntry:
+class KingEntry(Value):
     """A letter of the dual alphabet.
 
     >>> KingEntry(2, True) < KingEntry(3, False)
@@ -45,9 +46,6 @@ class KingEntry:
             raise HowekitError("entry value must be >= 1, got %r" % (value,))
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "barred", bool(barred))
-
-    def __setattr__(self, *a):
-        raise AttributeError("KingEntry is immutable")
 
     def key(self):
         """Position in the total order 1 < 1b < 2 < 2b < ..."""
@@ -73,14 +71,6 @@ class KingEntry:
     def __repr__(self):
         return "KingEntry(%d, %r)" % (self.value, self.barred)
 
-    def __eq__(self, other):
-        if not isinstance(other, KingEntry):
-            return NotImplemented
-        return self.value == other.value and self.barred == other.barred
-
-    def __hash__(self):
-        return hash((self.value, self.barred))
-
     def __lt__(self, other):
         return self.key() < other.key()
 
@@ -101,7 +91,7 @@ def check_king_column(entries, m):
     return col
 
 
-class KingElement:
+class KingElement(Value):
     """A tensor product of columns on the dual alphabet, empties kept.
 
     >>> t = KingElement([[(1, False), (2, True)], []], 2)
@@ -119,9 +109,6 @@ class KingElement:
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "m", m)
 
-    def __setattr__(self, *a):
-        raise AttributeError("KingElement is immutable")
-
     def heights(self):
         return tuple(len(c) for c in self.columns)
 
@@ -136,14 +123,6 @@ class KingElement:
         cols = list(self.columns)
         cols[i] = column
         return KingElement(cols, self.m)
-
-    def __eq__(self, other):
-        if not isinstance(other, KingElement):
-            return NotImplemented
-        return self.m == other.m and self.columns == other.columns
-
-    def __hash__(self):
-        return hash((self.columns, self.m))
 
     def __repr__(self):
         return "KingElement(%r, %d)" % (self.to_json_obj(), self.m)

@@ -6,10 +6,11 @@ new polynomial.  Products enforce the process-wide term cap.
 """
 
 from . import limits
+from ._value import Value
 from .errors import HowekitError, LimitExceeded
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Value):
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
@@ -29,9 +30,6 @@ class LaurentPolynomial:
                         del clean[exp]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPolynomial is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -55,11 +53,6 @@ class LaurentPolynomial:
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))

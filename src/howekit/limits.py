@@ -1,11 +1,13 @@
 """Size caps for the exact-arithmetic engines.
 
-All caps are process-wide and may be overridden programmatically (set_cap),
-through a key=value config file (see cli), or, for the polynomial term cap,
-through the environment variable HOWEKIT_TERM_CAP.
+All caps are process-wide and may be overridden programmatically (set_cap,
+or overridden for one with block), through a key=value config file for one
+cli command, or, for the polynomial term cap, through the environment
+variable HOWEKIT_TERM_CAP.
 """
 
 import os
+from contextlib import contextmanager
 
 _DEFAULTS = {
     # maximum number of monomials a polynomial product may produce
@@ -41,3 +43,19 @@ def set_cap(name, value):
         _overrides.pop(name, None)
     else:
         _overrides[name] = int(value)
+
+
+@contextmanager
+def overridden(caps):
+    """Apply caps (name -> int) inside a with block only, then restore the
+    overrides in force before it.  All are checked before any changes."""
+    for name in caps:
+        if name not in _DEFAULTS:
+            raise ValueError("unknown cap %r" % name)
+    saved = dict(_overrides)
+    _overrides.update(caps)
+    try:
+        yield
+    finally:
+        _overrides.clear()
+        _overrides.update(saved)

@@ -10,12 +10,13 @@ g_(X,k) of sp_2m.
 
 from functools import lru_cache
 
+from ._value import Value
 from .errors import HowekitError, LimitExceeded
 from .partitions import Partition, MultiPartition, check_weight, involution_I
 from . import weyl
 
 
-class DiagramSpec:
+class DiagramSpec(Value):
     """A block-diagonal subalgebra description: symbols in {A, C} + sizes.
 
     Block j occupies the coordinate range (K_{j-1}, K_j] of Z^m where
@@ -38,17 +39,6 @@ class DiagramSpec:
             raise ValueError("sizes must be positive: %r" % (sizes,))
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "sizes", sizes)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DiagramSpec is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, DiagramSpec):
-            return self.symbols == other.symbols and self.sizes == other.sizes
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.symbols, self.sizes))
 
     def __repr__(self):
         return "DiagramSpec(%r, %r)" % (list(self.symbols), list(self.sizes))

@@ -7,6 +7,8 @@ partitions with at most n parts, every part at most m.  For a weight
 vector w, I(w) reverses the coordinates and negates them.
 """
 
+from ._value import Value
+
 
 def _as_parts(parts):
     if isinstance(parts, Partition):
@@ -14,7 +16,7 @@ def _as_parts(parts):
     return tuple(int(x) for x in parts)
 
 
-class Partition:
+class Partition(Value):
     """A partition with explicit stored length.
 
     >>> Partition([3, 2, 0]) == Partition([3, 2])
@@ -33,9 +35,6 @@ class Partition:
         if parts and parts[-1] < 0:
             raise ValueError("parts must be nonnegative: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
 
     def stripped(self):
         """The parts with trailing zeros removed."""
@@ -132,7 +131,7 @@ def hat(p, n, m):
     return Partition(tuple(n + x for x in involution_I(cp)))
 
 
-class MultiPartition:
+class MultiPartition(Value):
     """A tuple of partitions attached to a tuple of block sizes.
 
     The orientation (which side of the rectangle each block size bounds)
@@ -151,19 +150,8 @@ class MultiPartition:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "blocks", blocks)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MultiPartition is immutable")
-
     def __len__(self):
         return len(self.components)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiPartition):
-            return self.blocks == other.blocks and self.components == other.components
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.blocks, tuple(self.components)))
 
     def __repr__(self):
         return "MultiPartition(%r, blocks=%r)" % (

@@ -13,6 +13,7 @@ delta = (-n-1, ..., -n-m).
 import itertools
 from functools import lru_cache
 
+from ._value import Value
 from .errors import LimitExceeded
 from .partitions import Partition, check_weight
 
@@ -47,7 +48,7 @@ def check_dominant(lam, id):
     return v
 
 
-class WeylElement:
+class WeylElement(Value):
     """A signed permutation.
 
     perm is one-line notation on {1,...,m}: position i of the output takes
@@ -69,17 +70,6 @@ class WeylElement:
             raise ValueError("signs must be a tuple of +-1 of length %d" % m)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeylElement is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, WeylElement):
-            return self.perm == other.perm and self.signs == other.signs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.perm, self.signs))
 
     def __repr__(self):
         return "WeylElement(perm=%r, signs=%r)" % (list(self.perm), list(self.signs))

@@ -233,3 +233,24 @@ def test_badly_shaped_json_exits_two(capsys, monkeypatch, args, stdin):
     rc, out, err = run(capsys, args, stdin, monkeypatch)
     assert (rc, out) == (2, "")
     assert err.startswith("error: expected a JSON list of ")
+
+
+def test_config_lasts_one_call(capsys, tmp_path):
+    product = ["product", "--symbols", "C", "--sizes", "2", "--mu", "2,1",
+               "--n", "2"]
+    tiny = tmp_path / "tiny.conf"
+    tiny.write_text("term_cap = 3\n")
+    bogus = tmp_path / "bogus.conf"
+    bogus.write_text("term_cap = 3\nbogus = 1\n")
+    default = limits.get_cap("term_cap")
+    try:
+        rc, _, err = run(capsys, product + ["--config", str(tiny)])
+        assert rc == 2 and "term cap 3" in err
+        assert limits.get_cap("term_cap") == default
+        rc, out, _ = run(capsys, product)
+        assert rc == 0 and out
+        rc, _, err = run(capsys, product + ["--config", str(bogus)])
+        assert (rc, err) == (2, "error: unknown cap 'bogus'\n")
+        assert limits.get_cap("term_cap") == default
+    finally:
+        limits.set_cap("term_cap", None)

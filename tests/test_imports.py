@@ -1,0 +1,39 @@
+"""Every module-level import in the package is used."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import howekit
+
+MODULES = sorted(p for p in Path(howekit.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node)
+            if doc:
+                yield doc
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a doctest that names an import counts as a use
+    docs = "\n".join(_docstrings(tree))
+    unused = [name for name in _imported(tree) if name not in used
+              and not re.search(r"\b%s\b" % re.escape(name), docs)]
+    assert unused == []
