@@ -3,9 +3,17 @@
 from operator import attrgetter
 
 
+def _rebuild(cls, fields):
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class Value:
     """Immutable; equal, and hashed alike, when of one type with equal
-    __slots__ fields.  Constructors set fields with object.__setattr__."""
+    __slots__ fields.  Constructors set fields with object.__setattr__;
+    copy and pickle rebuild an object from its fields."""
 
     __slots__ = ()
 
@@ -23,3 +31,7 @@ class Value:
 
     def __hash__(self):
         return hash(self._fields(self))
+
+    def __reduce__(self):
+        return _rebuild, (type(self),
+                          tuple(getattr(self, s) for s in self.__slots__))

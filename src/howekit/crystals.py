@@ -238,12 +238,8 @@ def _columns_of_height(h, n):
     return list(combinations(alphabet, h))
 
 
-def enumerate_B(mu_prime, n):
-    """All tensor elements with column heights mu_prime, lex order.
-
-    >>> len(list(enumerate_B((1,), 2)))
-    4
-    """
+def _checked_heights(mu_prime, n):
+    """The column heights of B_{mu'}, each in 0..2n, under enum_cap."""
     heights = tuple(int(h) for h in mu_prime)
     for h in heights:
         if not 0 <= h <= 2 * n:
@@ -252,6 +248,16 @@ def enumerate_B(mu_prime, n):
     if total > get_cap("enum_cap"):
         raise LimitExceeded("B_{mu'} has %d elements, cap is %d"
                             % (total, get_cap("enum_cap")))
+    return heights
+
+
+def enumerate_B(mu_prime, n):
+    """All tensor elements with column heights mu_prime, lex order.
+
+    >>> len(list(enumerate_B((1,), 2)))
+    4
+    """
+    heights = _checked_heights(mu_prime, n)
 
     def rec(j, acc):
         if j == len(heights):
@@ -263,6 +269,55 @@ def enumerate_B(mu_prime, n):
     yield from rec(0, [])
 
 
+def _highest_weight_elements(mu_prime, n):
+    """The highest weight elements of B_{mu'}, in the lex order of
+    enumerate_B.
+
+    Each column is filled letter by letter in increasing order, and a
+    letter is skipped when the weight of the word so far would leave the
+    dominant chamber: every extension of such a prefix fails
+    is_highest_weight.  Adding one letter moves one coordinate a_i by
+    one, so only its two neighbours need checking.
+
+    >>> [b.word() for b in _highest_weight_elements((1, 1), 2)]
+    [(-2, -2), (-2, -1), (-2, 2)]
+    """
+    heights = _checked_heights(mu_prime, n)
+    alphabet = [x for x in range(-n, n + 1) if x != 0]
+    # a[i] = #(-i) - #(i), between the sentinels a[0] = 0 (so a_1 >= 0)
+    # and a[n + 1], which no count reaches
+    a = [0] * (n + 2)
+    a[n + 1] = sum(heights) + 1
+    cols = []
+
+    def fill(j, col, start):
+        if j == len(heights):
+            yield TensorElement(cols, n)
+        elif len(col) == heights[j]:
+            cols.append(tuple(col))
+            yield from fill(j + 1, [], 0)
+            cols.pop()
+        else:
+            for k in range(start, 2 * n - heights[j] + len(col) + 1):
+                x = alphabet[k]
+                if x < 0:
+                    a[-x] += 1
+                    dominant = a[-x] <= a[1 - x]
+                else:
+                    a[x] -= 1
+                    dominant = a[x] >= a[x - 1]
+                if dominant:
+                    col.append(x)
+                    yield from fill(j, col, k + 1)
+                    col.pop()
+                if x < 0:
+                    a[-x] -= 1
+                else:
+                    a[x] += 1
+
+    yield from fill(0, [], 0)
+
+
 def highest_weight_vertices(mu_prime, lam, n):
     """The set B^hw_{mu', lam}: highest weight vertices of a given weight."""
     target = tuple(int(x) for x in lam)
@@ -270,11 +325,8 @@ def highest_weight_vertices(mu_prime, lam, n):
         target = target + (0,) * (n - len(target))
     if len(target) != n:
         raise HowekitError("weight %r does not have %d coordinates" % (lam, n))
-    out = []
-    for b in enumerate_B(mu_prime, n):
-        if weight_of(b) == target and is_highest_weight(b):
-            out.append(b)
-    return out
+    return [b for b in _highest_weight_elements(mu_prime, n)
+            if weight_of(b) == target]
 
 
 def highest_weight_seed(lam, n, m=None):

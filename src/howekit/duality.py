@@ -242,12 +242,16 @@ def is_king_tableau(t):
     return True
 
 
-def enumerate_king_tableaux(shape, weight, m, n=None):
-    """All King tableaux of the given shape and weight, as elements with
-    n columns (defaulting to the shape width).
+def king_tableaux_by_weight(shape, m, n=None):
+    """All King tableaux of the given shape, as elements with n columns
+    (defaulting to the shape width), bucketed by king_weight.
 
-    >>> len(enumerate_king_tableaux(Partition([1]), (1,), 1))
-    1
+    Columns are drawn from the alphabet in lex order, left to right, so
+    each bucket lists its tableaux in that order.
+
+    >>> table = king_tableaux_by_weight(Partition([1]), 1)
+    >>> sorted(table.items())
+    [((-1,), [KingElement([['1b']], 1)]), ((1,), [KingElement([['1']], 1)])]
     """
     shape = Partition(shape)
     if len(shape.stripped()) > m:
@@ -258,9 +262,6 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
         n = width
     if width > n:
         raise HowekitError("shape %r is wider than %d columns" % (shape, n))
-    target = tuple(int(x) for x in weight)
-    if len(target) != m:
-        raise HowekitError("weight %r does not have %d coordinates" % (weight, m))
     guard = prod(comb(2 * m, h) for h in heights)
     if guard > get_cap("enum_cap"):
         raise LimitExceeded("King enumeration size %d exceeds cap" % guard)
@@ -274,13 +275,12 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
                 cands.append(combo)
         columns_by_height[h] = cands
 
-    out = []
+    table = {}
 
     def rec(i, acc):
         if i == width:
             t = KingElement(list(acc) + [()] * (n - width), m)
-            if king_weight(t) == target:
-                out.append(t)
+            table.setdefault(king_weight(t), []).append(t)
             return
         for col in columns_by_height[heights[i]]:
             if acc:
@@ -290,13 +290,27 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
             rec(i + 1, acc + [col])
 
     rec(0, [])
-    return out
+    return table
 
 
-def star_pairing(vertices, lam_hat, mu_hat, n, m):
+def enumerate_king_tableaux(shape, weight, m, n=None):
+    """All King tableaux of the given shape and weight, as elements with
+    n columns (defaulting to the shape width).
+
+    >>> len(enumerate_king_tableaux(Partition([1]), (1,), 1))
+    1
+    """
+    target = tuple(int(x) for x in weight)
+    if len(target) != m:
+        raise HowekitError("weight %r does not have %d coordinates" % (weight, m))
+    return king_tableaux_by_weight(shape, m, n).get(target, [])
+
+
+def star_pairing(vertices, lam_hat, mu_hat, n, m, expected=None):
     """Pair each vertex with its star image; check that this is a
     bijection onto the King tableaux of shape lam_hat and weight mu_hat,
-    with star_inverse undoing it.
+    with star_inverse undoing it.  Those tableaux are the expected list,
+    enumerated here when it is None.
 
     Returns (pairs, None), or (None, failure) where failure holds the
     "reason" and the offending "element" or the "missing" tableaux.
@@ -318,7 +332,8 @@ def star_pairing(vertices, lam_hat, mu_hat, n, m):
             pairs.append((b, t))
             continue
         return None, {"element": b.to_json_obj(), "reason": reason}
-    expected = enumerate_king_tableaux(lam_hat, mu_hat, m, n)
+    if expected is None:
+        expected = enumerate_king_tableaux(lam_hat, mu_hat, m, n)
     if images != set(expected):
         missing = [t.to_json_obj() for t in expected if t not in images]
         return None, {"reason": "image set mismatch", "missing": missing}

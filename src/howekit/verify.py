@@ -16,8 +16,9 @@ import time
 from . import limits
 from .bicrystal import jdt_bar, kappa
 from .characters import char_product, decompose, elem_sym
-from .crystals import crystal_e, enumerate_B, is_highest_weight, weight_of
-from .duality import star_pairing
+from .crystals import (_highest_weight_elements, crystal_e, enumerate_B,
+                       weight_of)
+from .duality import king_tableaux_by_weight, star_pairing
 from .errors import HowekitError, LimitExceeded
 from .laurent import LaurentPolynomial
 from .partfn import DiagramSpec, branching_coefficient, weight_multiplicity
@@ -215,6 +216,11 @@ def verify_generalized_duality(n, r_max, size_bound):
     return _merge(map(cell, specs), t0)
 
 
+def _check_ranks(n, m):
+    if n < 1 or m < 1:
+        raise HowekitError("rank parameter must be >= 1")
+
+
 def _compositions(m, bound):
     return list(itertools.product(range(bound + 1), repeat=m))
 
@@ -229,26 +235,32 @@ def verify_bijection(n, m):
     mu_prime and lam next to the failure of duality.star_pairing.
     """
     t0 = time.perf_counter()
+    _check_ranks(n, m)
     lams = list(enumerate_rectangle(n, m))
     rect = set(lams)
+    # per lam: the shape hat(lam) and its King tableaux by weight
+    kings = []
+    for lam in lams:
+        lam_hat = hat(lam, n, m)
+        kings.append((lam_hat, king_tableaux_by_weight(lam_hat, m, n)))
 
     def cell(mu_prime):
         fails = []
         mu_tag = list(mu_prime)
         mu_hat = tuple(n - h for h in reversed(mu_prime))
         buckets = {}
-        for b in enumerate_B(mu_prime, n):
-            if is_highest_weight(b):
-                buckets.setdefault(weight_of(b), []).append(b)
+        for b in _highest_weight_elements(mu_prime, n):
+            buckets.setdefault(weight_of(b), []).append(b)
         for w in buckets:
             if Partition(w) not in rect:
                 fails.append({"mu_prime": mu_tag, "weight": list(w),
                               "reason": "weight outside rectangle"})
         count = 0
-        for lam in lams:
+        for lam, (lam_hat, table) in zip(lams, kings):
             count += 1
             vertices = buckets.get(tuple(lam.padded(n)), [])
-            _, failure = star_pairing(vertices, hat(lam, n, m), mu_hat, n, m)
+            _, failure = star_pairing(vertices, lam_hat, mu_hat, n, m,
+                                      table.get(mu_hat, []))
             if failure is not None:
                 fails.append(dict(failure, mu_prime=mu_tag,
                                   lam=list(lam.stripped())))
@@ -276,6 +288,7 @@ def verify_contraction(n, m):
     """Check that kappa_j removes one (bar k, k) pair and commutes with
     every crystal operator e_i, 0 <= i <= n-1, as partial maps."""
     t0 = time.perf_counter()
+    _check_ranks(n, m)
 
     def cell(mu_prime):
         fails = []
@@ -308,6 +321,7 @@ def verify_jdt(n, m):
     """Check that the jeu de taquin slides agree with the transported
     barred raising operators on every vertex, as partial maps."""
     t0 = time.perf_counter()
+    _check_ranks(n, m)
 
     def cell(mu_prime):
         fails = []

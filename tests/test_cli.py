@@ -220,6 +220,18 @@ def test_rank_zero_exits_two(capsys, monkeypatch, args, stdin):
     assert err == "error: rank parameter must be >= 1\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["verify-bijection", "--n", "1", "--m", "0"],
+    ["verify-contraction", "--n", "-1", "--m", "1"],
+    ["verify-jdt", "--n", "-1", "--m", "2"],
+])
+def test_crystal_sweep_bad_rank_exits_two(capsys, args):
+    # m = 0 used to report a false failure, n = -1 an empty clean sweep
+    rc, out, err = run(capsys, args)
+    assert (rc, out) == (2, "")
+    assert err == "error: rank parameter must be >= 1\n"
+
+
 @pytest.mark.parametrize("args,stdin", [
     (["king-check", "--element", "[[1]]", "--m", "1"], None),
     (["king-check", "--element", "[1]", "--m", "1"], None),

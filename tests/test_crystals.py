@@ -11,6 +11,7 @@ from howekit import (CrystalGraph, HowekitError, LaurentPolynomial, LimitExceede
                      highest_weight_vertices, is_admissible, is_coadmissible,
                      is_highest_weight, weight_of, weyl_character)
 from howekit import limits
+from howekit.crystals import _highest_weight_elements
 
 
 def all_elements(mu_prime, n):
@@ -99,6 +100,27 @@ def test_highest_weight_vertices_weights():
                 assert is_highest_weight(b)
                 assert weight_of(b) == Partition(lam).padded(n)
                 assert b.heights() == mu_p
+
+
+def test_highest_weight_generator_matches_filter():
+    # oracle: every element of B_{mu'} run through is_highest_weight
+    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3)]
+    for n, m in cases:
+        for mu_p in itertools.product(range(2 * n + 1), repeat=m):
+            want = [b for b in enumerate_B(mu_p, n) if is_highest_weight(b)]
+            assert list(_highest_weight_elements(mu_p, n)) == want, (n, mu_p)
+
+
+@pytest.mark.parametrize("enum", [enumerate_B, _highest_weight_elements])
+def test_B_enumerations_check_heights_and_cap(enum):
+    with pytest.raises(HowekitError, match=r"column height 7 outside 0\.\.6"):
+        next(enum((1, 7), 3))
+    with limits.overridden({"enum_cap": 299}):
+        with pytest.raises(LimitExceeded,
+                           match="B_{mu'} has 300 elements, cap is 299"):
+            next(enum((3, 2), 3))
+    with limits.overridden({"enum_cap": 300}):
+        assert next(enum((3, 2), 3)).heights() == (3, 2)
 
 
 def test_highest_weight_seed():

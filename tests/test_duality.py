@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from howekit import (HowekitError, KingElement, KingEntry, MalformedTableau,
-                     Partition, TensorElement, enumerate_king_tableaux, hat,
-                     highest_weight_vertices, is_king_tableau, is_semistandard,
-                     king_weight, star, star_inverse, tilde_expand,
+from howekit import (HowekitError, KingElement, KingEntry, LimitExceeded,
+                     MalformedTableau, Partition, TensorElement,
+                     enumerate_king_tableaux, hat, highest_weight_vertices,
+                     is_king_tableau, is_semistandard, king_weight, limits,
+                     star, star_inverse, tilde_expand,
                      verify_combinatorial_howe, weight_multiplicity)
-from howekit.duality import star_pairing
+from howekit.duality import king_tableaux_by_weight, star_pairing
 
 
 def K(cols, m):
@@ -147,6 +148,58 @@ def test_enumerate_king_tableaux_brute_force():
                       and king_weight(t) == weight]
             fast = enumerate_king_tableaux(Partition(shape), weight, m)
             assert len(direct) == len(fast), (shape, weight)
+
+
+def _king_fillings(shape, m):
+    """Every filling of shape over the rank-m dual alphabet that passes
+    is_king_tableau, in no particular order."""
+    alphabet = [(v, b) for v in range(1, m + 1) for b in (False, True)]
+    cols = Partition(shape).conjugate().stripped()
+    for combo in itertools.product(alphabet, repeat=sum(cols)):
+        out, i = [], 0
+        for h in cols:
+            out.append(list(combo[i:i + h]))
+            i += h
+        try:
+            t = KingElement(out, m)
+        except HowekitError:
+            continue
+        if is_king_tableau(t):
+            yield t
+
+
+def test_king_table_matches_brute_force():
+    # oracle: a filter over all fillings of every shape of size <= 4 in an
+    # m x 2 box; buckets are keyed by king_weight, and a wider n only pads
+    for m in (1, 2, 3):
+        for shape in [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (2, 2),
+                      (2, 1, 1)]:
+            if len(shape) > m:
+                continue
+            table = king_tableaux_by_weight(Partition(shape), m)
+            for w, bucket in table.items():
+                assert all(king_weight(t) == w for t in bucket)
+            found = [t for bucket in table.values() for t in bucket]
+            assert len(set(found)) == len(found)
+            assert set(found) == set(_king_fillings(shape, m)), (m, shape)
+            wide = king_tableaux_by_weight(Partition(shape), m, shape[0] + 1)
+            assert wide == {w: [KingElement(t.columns + ((),), m)
+                                for t in bucket]
+                            for w, bucket in table.items()}
+            for w, bucket in table.items():
+                assert enumerate_king_tableaux(Partition(shape), w, m) == bucket
+
+
+def test_king_enumerations_check_cap():
+    # shape (2, 1) at m = 2 has comb(4, 2) * comb(4, 1) = 24 candidates
+    shape = Partition((2, 1))
+    with limits.overridden({"enum_cap": 23}):
+        with pytest.raises(LimitExceeded, match="King enumeration size 24"):
+            king_tableaux_by_weight(shape, 2)
+        with pytest.raises(LimitExceeded, match="King enumeration size 24"):
+            enumerate_king_tableaux(shape, (1, 2), 2)
+    with limits.overridden({"enum_cap": 24}):
+        assert len(enumerate_king_tableaux(shape, (1, 2), 2)) == 1
 
 
 def test_king_count_is_weight_multiplicity():

@@ -1,6 +1,9 @@
-"""Every data class follows the one immutable value rule of howekit._value."""
+"""Every data class follows the one immutable value rule of howekit._value,
+and copies and pickles through it."""
 
+import copy
 import inspect
+import pickle
 
 import pytest
 
@@ -49,3 +52,7 @@ def test_value_rule(cls):
     else:
         assert hash(a) == hash(b)
     assert a != c and not a == c
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is cls and twin == a
+        if cls is not CharacterDecomposition:
+            assert hash(twin) == hash(a)

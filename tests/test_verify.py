@@ -123,9 +123,8 @@ def test_bijection_report():
 def test_bijection_failure_entry(monkeypatch):
     # with no King tableaux to pair with, every nonempty cell fails with
     # the pairing check's own reason next to its mu' and lam
-    from howekit import duality
-    monkeypatch.setattr(duality, "enumerate_king_tableaux",
-                        lambda *args: [])
+    from howekit import verify
+    monkeypatch.setattr(verify, "king_tableaux_by_weight", lambda *args: {})
     rep = verify_bijection(1, 1)
     assert rep["cells"] == 6
     assert rep["failures"] == [
