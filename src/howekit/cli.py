@@ -23,6 +23,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from . import limits, verify, weyl
 from .bicrystal import charge_king, jdt_bar, kappa, statistics
@@ -276,7 +277,10 @@ def _cmd_injectivity(ns):
 # -- parser -----------------------------------------------------------------
 
 
+@cache
 def _build_parser():
+    # built once per process: parse_args returns a fresh Namespace on every
+    # call and no handler touches the parser, so no state outlives a call
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="key=value file overriding size caps for "

@@ -104,14 +104,17 @@ class _Counter:
             return 1 if all(x == 0 for x in beta) else 0
         if len(beta) != self.m:
             raise ValueError("vector length mismatch")
-        return self._count(0, tuple(beta))
-
-    def _count(self, idx, residual):
-        h = sum(a * b for a, b in zip(residual, self.hv))
+        beta = tuple(beta)
+        h = sum(a * b for a, b in zip(beta, self.hv))
         if h < 0:
             return 0
+        return self._count(0, beta, h)
+
+    def _count(self, idx, residual, h):
+        # h is the height of residual (>= 0); the height is linear, so each
+        # copy of roots[idx] taken off lowers it by heights[idx]
         if h == 0:
-            return 1 if all(x == 0 for x in residual) else 0
+            return 1 if not any(residual) else 0
         if idx == len(self.roots):
             return 0
         key = (idx, residual)
@@ -119,13 +122,13 @@ class _Counter:
         if got is not None:
             return got
         root = self.roots[idx]
-        total = 0
-        bound = h // self.heights[idx]
-        cur = residual
-        for k in range(bound + 1):
-            if k:
-                cur = tuple(a - b for a, b in zip(cur, root))
-            total += self._count(idx + 1, cur)
+        step = self.heights[idx]
+        total = self._count(idx + 1, residual, h)
+        h -= step
+        while h >= 0:
+            residual = tuple(a - b for a, b in zip(residual, root))
+            total += self._count(idx + 1, residual, h)
+            h -= step
         self.memo[key] = total
         return total
 

@@ -266,3 +266,36 @@ def test_config_lasts_one_call(capsys, tmp_path):
         assert limits.get_cap("term_cap") == default
     finally:
         limits.set_cap("term_cap", None)
+
+
+def test_one_parser_and_no_state_between_calls(capsys):
+    from howekit import cli
+    from howekit.bicrystal import statistics
+    from howekit.crystals import TensorElement
+    cli._build_parser.cache_clear()
+    star = ["star", "--element", "-4,-3;-2,-1,1;-4", "--n", "4"]
+    king = '[["1","2b","3"],["1","3"],["2","3"],["2"]]'
+    rc, out, _ = run(capsys, ["star", "--element", king, "--m", "3",
+                              "--n", "4", "--inverse"])
+    assert (rc, out) == (0, "[[-4,-3],[-2,-1,1],[-4]]\n")
+    rc, out, _ = run(capsys, star)
+    assert (rc, out) == (0, king + "\n")
+
+    rc, out, _ = run(capsys, ["charge", "--king", "[[],[]]", "--m", "2"])
+    assert (rc, out) == (0, '{"charge":0}\n')
+    rc, out, _ = run(capsys, ["charge", "--element", "-2,-1;-2,-1",
+                              "--n", "2"])
+    expected = statistics(TensorElement([(-2, -1), (-2, -1)], 2))
+    assert (rc, json.loads(out)) == (0, expected)
+
+    hat = ["hat", "--partition", "5,4,2,1", "--n", "4", "--m", "5"]
+    rc, out, err = run(capsys, hat[:-2])
+    assert (rc, out) == (2, "")
+    assert "the following arguments are required: --m" in err
+    assert run(capsys, hat) == (0, "[3,2,2,1,0]\n", "")
+
+    helps = [run(capsys, ["--help"]) for _ in range(2)]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: howekit")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 7)  # eight dispatch calls

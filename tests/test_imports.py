@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,13 @@ def test_no_unused_imports(path):
     unused = [name for name in _imported(tree) if name not in used
               and not re.search(r"\b%s\b" % re.escape(name), docs)]
     assert unused == []
+
+
+def test_package_import_leaves_cli_out():
+    # the CLI parser is built on first use, never by `import howekit`
+    src = str(Path(howekit.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import howekit; "
+            "print('howekit.cli' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
