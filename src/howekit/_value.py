@@ -32,6 +32,12 @@ class Value:
     def __hash__(self):
         return hash(self._fields(self))
 
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance from fields, in __slots__ order, that are already
+        valid: no constructor checks run."""
+        return _rebuild(cls, fields)
+
     def __reduce__(self):
         return _rebuild, (type(self),
                           tuple(getattr(self, s) for s in self.__slots__))

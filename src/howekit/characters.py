@@ -147,6 +147,27 @@ def jt_determinant(beta, family, n, m):
     return _det(matrix)
 
 
+def _to_chamber(y, family):
+    """Sort y into the dominant chamber, strictly: None when y lies on a
+    wall, else (eps(w), eta) with y = w(eta) and eta strictly dominant.
+
+    Type A sorts decreasingly; type C sorts the absolute values
+    decreasingly and each negative entry flips the sign once more.  The
+    permutation's sign is the parity of the sort's inversion count.
+    """
+    if family == "C":
+        if 0 in y:
+            return None
+        s = -1 if sum(v < 0 for v in y) % 2 else 1
+        y = tuple(abs(v) for v in y)
+    else:
+        s = 1
+    if len(set(y)) < len(y):
+        return None
+    inversions = sum(a < b for i, a in enumerate(y) for b in y[i + 1:])
+    return (-s if inversions % 2 else s), tuple(sorted(y, reverse=True))
+
+
 def straighten(beta, family, n, m):
     """Bring beta to the dominant chamber of the relevant dot action.
 
@@ -158,30 +179,28 @@ def straighten(beta, family, n, m):
     family = str(family).upper()
     beta = check_weight(beta, m)
     if family == "C":
+        # straightening over delta = (-n-1, ..., -n-m) sends y to the
+        # antidominant point -reversed(eta) of its orbit: the sort followed
+        # by the longest element, whose sign is (-1)^(m(m+1)/2)
         d = weyl.delta_shift(n, m)
-        y = tuple(a + b for a, b in zip(beta, d))
-        if 0 in y or len({abs(v) for v in y}) < m:
+        got = _to_chamber(tuple(a + b for a, b in zip(beta, d)), "C")
+        if got is None:
             return None
-        order = sorted(range(m), key=lambda j: abs(y[j]))
-        perm = tuple(j + 1 for j in order)
-        signs = tuple(-1 if y[j] > 0 else 1 for j in order)
-        w = weyl.WeylElement(perm, signs)
-        gamma = tuple(a - b for a, b in zip(weyl.act(w, y), d))
+        s, eta = got
+        gamma = tuple(-a - b for a, b in zip(reversed(eta), d))
         if gamma[-1] < 0:
             return None
-        return weyl.sign(w), Partition(gamma)
+        return (-s if m * (m + 1) // 2 % 2 else s), Partition(gamma)
     if family == "A":
         r = weyl.rho(("A", m))
-        y = tuple(a + b for a, b in zip(beta, r))
-        if len(set(y)) < m:
+        got = _to_chamber(tuple(a + b for a, b in zip(beta, r)), "A")
+        if got is None:
             return None
-        order = sorted(range(m), key=lambda j: -y[j])
-        perm = tuple(j + 1 for j in order)
-        w = weyl.WeylElement(perm)
-        gamma = tuple(a - b for a, b in zip(weyl.act(w, y), r))
+        s, eta = got
+        gamma = tuple(a - b for a, b in zip(eta, r))
         if gamma[0] > n or gamma[-1] < 0:
             return None
-        return weyl.sign(w), reduce_column_full(Partition(gamma), n)
+        return s, reduce_column_full(Partition(gamma), n)
     raise ValueError("family must be A or C")
 
 
@@ -273,9 +292,13 @@ def _is_invariant(p, family, rank):
 def decompose(p, family, rank):
     """Write a W-invariant polynomial as a sum of irreducible characters.
 
-    Repeatedly peels the lexicographically greatest exponent, which for an
-    invariant polynomial is dominant.  Raises NotACharacter when the input
-    is not invariant or a negative multiplicity shows up.
+    If p = sum m_lam chi_lam then p * a_rho = sum m_lam a_{lam+rho}, and
+    each alternant has exactly one strictly dominant term.  So m_lam is
+    the sum of eps(w) * p[e] over the exponents e of p with e + rho =
+    w(lam + rho), read off in one pass over p.  Constituents are then
+    checked in lex-descending order, the order of peeling the greatest
+    exponent.  Raises NotACharacter when the input is not invariant, a
+    multiplicity is negative, or a constituent is not a partition.
     """
     family, rank = weyl.check_id((family, rank))
     if p.nvars != rank:
@@ -283,23 +306,30 @@ def decompose(p, family, rank):
                          % (p.nvars, rank))
     if not _is_invariant(p, family, rank):
         raise NotACharacter("input is not Weyl invariant")
+    r = weyl.rho((family, rank))
+    strict = {}
+    for exp, coef in p.terms.items():
+        got = _to_chamber(tuple(a + b for a, b in zip(exp, r)), family)
+        if got is not None:
+            s, eta = got
+            strict[eta] = strict.get(eta, 0) + s * coef
     cap = limits.get_cap("decompose_cap")
     mults = {}
-    q = p
     steps = 0
-    while not q.is_zero():
+    for eta in sorted(strict, reverse=True):
+        coef = strict[eta]
+        if not coef:
+            continue
         steps += 1
         if steps > cap:
             raise HowekitError("decompose exceeded %d peeling steps" % cap)
-        top = q.lex_max()
-        coef = q.terms[top]
+        top = tuple(a - b for a, b in zip(eta, r))
         if coef < 0:
             raise NotACharacter("negative multiplicity %d at %r" % (coef, top))
-        if any(a < b for a, b in zip(top, top[1:])) or top[-1] < 0:
+        # eta is strictly decreasing, so top is weakly decreasing
+        if top[-1] < 0:
             raise NotACharacter("leading exponent %r is not a partition" % (top,))
-        lam = Partition(top)
-        mults[lam] = mults.get(lam, 0) + coef
-        q = q - weyl_character(lam, family, rank).scale(coef)
+        mults[top] = coef
     return CharacterDecomposition(mults)
 
 

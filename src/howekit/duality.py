@@ -152,7 +152,13 @@ def tilde_expand(b):
 
 
 def star(b):
-    """The dual element: column i collects the x with i in ctilde_x."""
+    """The dual element: column i collects the x with i in ctilde_x.
+
+    An element with no columns has no dual: its King columns would be
+    over an empty alphabet.
+    """
+    if not b.columns:
+        raise HowekitError("star needs an element with at least one column")
     tilde = tilde_expand(b)
     cols = []
     for i in range(1, b.n + 1):
@@ -163,7 +169,7 @@ def star(b):
             if i in tilde[2 * j - 1]:
                 col.append(KingEntry(j, True))
         cols.append(col)
-    return KingElement(cols, len(b.columns) or 1)
+    return KingElement(cols, len(b.columns))
 
 
 def star_inverse(t, n=None, m=None):

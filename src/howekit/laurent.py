@@ -83,10 +83,11 @@ class LaurentPolynomial(Value):
                 out[exp] = c
             else:
                 out.pop(exp, None)
-        return LaurentPolynomial(self.nvars, out)
+        return LaurentPolynomial._trusted(self.nvars, out)
 
     def __neg__(self):
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._trusted(
+            self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -95,7 +96,8 @@ class LaurentPolynomial(Value):
         k = int(k)
         if k == 0:
             return LaurentPolynomial.zero(self.nvars)
-        return LaurentPolynomial(self.nvars, {e: k * c for e, c in self.terms.items()})
+        return LaurentPolynomial._trusted(
+            self.nvars, {e: k * c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -116,7 +118,7 @@ class LaurentPolynomial(Value):
                     del out[key]
             if len(out) > cap:
                 raise LimitExceeded("polynomial product exceeds term cap %d" % cap)
-        return LaurentPolynomial(self.nvars, out)
+        return LaurentPolynomial._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -197,7 +199,7 @@ class LaurentPolynomial(Value):
                     rem[key] = nc
                 else:
                     rem.pop(key, None)
-        return LaurentPolynomial(self.nvars, quot)
+        return LaurentPolynomial._trusted(self.nvars, quot)
 
     # -- serialization -----------------------------------------------------
 

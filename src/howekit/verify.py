@@ -95,6 +95,9 @@ def verify_schur_duality(n, m):
     """
     t0 = time.perf_counter()
     lams = list(enumerate_rectangle(n, m))
+    by_size = {}
+    for lam in lams:
+        by_size.setdefault(lam.size(), []).append(lam)
 
     def cell(mu):
         fails = []
@@ -103,17 +106,14 @@ def verify_schur_duality(n, m):
         for k in mu_p:
             p = p * elem_sym(k, "A", n)
         dec = decompose(p, "A", n)
-        valid = set(lam for lam in lams if lam.size() == mu.size())
+        same = by_size[mu.size()]
+        valid = set(same)
         for q in dec:
             if q not in valid:
                 fails.append({"mu": list(mu.stripped()),
                               "lam": list(q.stripped()),
                               "reason": "unexpected constituent"})
-        count = 0
-        for lam in lams:
-            if lam.size() != mu.size():
-                continue
-            count += 1
+        for lam in same:
             left = dec[lam]
             right = weight_multiplicity(("A", m), conjugate(lam).padded(m),
                                         mu_p)
@@ -121,7 +121,7 @@ def verify_schur_duality(n, m):
                 fails.append({"mu": list(mu.stripped()),
                               "lam": list(lam.stripped()),
                               "char_route": left, "weight_mult": right})
-        return count, fails
+        return len(same), fails
 
     return _merge(map(cell, lams), t0)
 

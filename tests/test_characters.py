@@ -5,12 +5,13 @@ import math
 
 import pytest
 
-from howekit import (DiagramSpec, LaurentPolynomial, MultiPartition,
-                     NotACharacter, Partition, char_product, conjugate,
-                     decompose, enumerate_rectangle, jt_determinant,
-                     schur_folded, straighten, weyl_character)
+from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
+                     LimitExceeded, MultiPartition, NotACharacter, Partition,
+                     char_product, conjugate, decompose, enumerate_rectangle,
+                     jt_determinant, limits, schur_folded, straighten, weyl,
+                     weyl_character)
 from howekit.characters import E_map, delta_product, elem_sym
-from howekit.partitions import conjugate_concat
+from howekit.partitions import conjugate_concat, reduce_column_full
 
 
 def count_ssyt(lam, n):
@@ -34,6 +35,72 @@ def count_ssyt(lam, n):
         return total
 
     return rec(0, None)
+
+
+def peel_oracle(p, family, rank, cap=None):
+    """decompose by peeling: subtract the character of the lex-greatest
+    exponent until nothing is left.  Assumes p is W-invariant."""
+    if cap is None:
+        cap = limits.get_cap("decompose_cap")
+    mults = {}
+    q = p
+    steps = 0
+    while not q.is_zero():
+        steps += 1
+        if steps > cap:
+            raise HowekitError("decompose exceeded %d peeling steps" % cap)
+        top = q.lex_max()
+        coef = q.terms[top]
+        if coef < 0:
+            raise NotACharacter("negative multiplicity %d at %r" % (coef, top))
+        if any(a < b for a, b in zip(top, top[1:])) or top[-1] < 0:
+            raise NotACharacter("leading exponent %r is not a partition"
+                                % (top,))
+        lam = Partition(top)
+        mults[lam] = mults.get(lam, 0) + coef
+        q = q - weyl_character(lam, family, rank).scale(coef)
+    return mults
+
+
+def outcome(call):
+    """What call() returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except HowekitError as exc:
+        return type(exc), str(exc)
+
+
+def both(p, family, rank, cap=None):
+    """The outcomes of decompose and of the peeling oracle on p."""
+    new = outcome(lambda: dict(decompose(p, family, rank).items()))
+    old = outcome(lambda: peel_oracle(p, family, rank, cap))
+    return new, old
+
+
+def straighten_oracle(beta, family, n, m):
+    """straighten through an explicit WeylElement, act and sign."""
+    if family == "C":
+        d = weyl.delta_shift(n, m)
+        y = tuple(a + b for a, b in zip(beta, d))
+        if 0 in y or len({abs(v) for v in y}) < m:
+            return None
+        order = sorted(range(m), key=lambda j: abs(y[j]))
+        w = weyl.WeylElement(tuple(j + 1 for j in order),
+                             tuple(-1 if y[j] > 0 else 1 for j in order))
+        gamma = tuple(a - b for a, b in zip(weyl.act(w, y), d))
+        if gamma[-1] < 0:
+            return None
+        return weyl.sign(w), Partition(gamma)
+    r = weyl.rho(("A", m))
+    y = tuple(a + b for a, b in zip(beta, r))
+    if len(set(y)) < m:
+        return None
+    w = weyl.WeylElement(tuple(j + 1 for j in
+                               sorted(range(m), key=lambda j: -y[j])))
+    gamma = tuple(a - b for a, b in zip(weyl.act(w, y), r))
+    if gamma[0] > n or gamma[-1] < 0:
+        return None
+    return weyl.sign(w), reduce_column_full(Partition(gamma), n)
 
 
 def test_weyl_character_type_a_dimensions():
@@ -215,6 +282,79 @@ def test_decompose_rejects_non_characters():
     tricky = weyl_character((2, 0), "C", 2) - weyl_character((1, 1), "C", 2)
     with pytest.raises(NotACharacter):
         decompose(tricky, "C", 2)
+
+
+def test_decompose_matches_peeling_on_signed_sums():
+    import random
+    rng = random.Random(8)
+    seen = set()
+    for fam in ("A", "C"):
+        for rank in (1, 2, 3):
+            lams = list(enumerate_rectangle(rank, 2))
+            for _ in range(12):
+                p = LaurentPolynomial.zero(rank)
+                for lam in rng.sample(lams, k=min(4, len(lams))):
+                    c = rng.randint(-2, 3)
+                    p = p + weyl_character(lam, fam, rank).scale(c)
+                new, old = both(p, fam, rank)
+                assert new == old, (fam, rank, p)
+                seen.add(type(new))
+    assert seen == {dict, tuple}  # both clean sums and failures occur
+
+
+def test_decompose_matches_peeling_on_negative_shifts():
+    # chi_lam * (x_1...x_n)^-k is chi_{lam - k}: a non-partition constituent
+    for rank in (1, 2, 3):
+        unit = LaurentPolynomial.monomial((-1,) * rank)
+        box = Partition((1,))
+        for lam in enumerate_rectangle(rank, 2):
+            base = weyl_character(lam, "A", rank)
+            if lam.size():
+                base = base + weyl_character(box, "A", rank).scale(2)
+            for k in range(3):
+                new, old = both(base * unit ** k, "A", rank)
+                assert new == old, (rank, lam, k)
+    p = weyl_character(box, "A", 2) * LaurentPolynomial.monomial((-1, -1))
+    assert both(p, "A", 2)[0] == (
+        NotACharacter, "leading exponent (0, -1) is not a partition")
+
+
+def test_decompose_cap_counts_constituents_like_peeling():
+    lams = [(2, 1), (2,), (1, 1), (1,), ()]
+    for fam in ("A", "C"):
+        p = LaurentPolynomial.zero(2)
+        for lam in lams:
+            p = p + weyl_character(Partition(lam), fam, 2)
+        k = len(lams)
+        for cap in (k - 1, k):
+            with limits.overridden({"decompose_cap": cap}):
+                new = outcome(lambda: dict(decompose(p, fam, 2).items()))
+            assert new == outcome(lambda: peel_oracle(p, fam, 2, cap))
+        assert new == {Partition(lam): 1 for lam in lams}
+        with limits.overridden({"decompose_cap": k - 1}):
+            with pytest.raises(HowekitError,
+                               match="decompose exceeded 4 peeling steps"):
+                decompose(p, fam, 2)
+
+
+def test_decompose_needs_no_weyl_group():
+    # rank 11 is above the type A enumeration cap; peeling needed the
+    # group for chi_(1), the one-pass count does not
+    assert weyl.MAX_RANK["A"] < 11
+    p = LaurentPolynomial(11, {tuple(int(i == j) for j in range(11)): 1
+                               for i in range(11)})
+    assert dict(decompose(p, "A", 11).items()) == {Partition((1,)): 1}
+    with pytest.raises(LimitExceeded):
+        peel_oracle(p, "A", 11)
+
+
+def test_straighten_matches_weyl_element_oracle():
+    for fam in ("A", "C"):
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                for beta in itertools.product(range(-3, n + 3), repeat=m):
+                    assert straighten(beta, fam, n, m) == \
+                        straighten_oracle(beta, fam, n, m), (fam, n, m, beta)
 
 
 def test_char_product_is_deformed_alternant():

@@ -77,6 +77,12 @@ def test_product_decompose_round_trip(capsys, monkeypatch):
     assert out == '[{"lam":[2,1],"mult":1}]\n'
 
 
+def test_star_without_columns_exits_two(capsys):
+    rc, out, err = run(capsys, ["star", "--element", "[]", "--n", "2"])
+    assert (rc, out) == (2, "")
+    assert err == "error: star needs an element with at least one column\n"
+
+
 def test_star_round_trip(capsys):
     rc, king, _ = run(capsys, ["star", "--element", "-4,-3;-2,-1,1;-4",
                                "--n", "4"])

@@ -222,6 +222,14 @@ def test_verify_combinatorial_howe_report():
     assert all(len(pair) == 2 for pair in rep["pairs"])
 
 
+def test_star_rejects_an_element_with_no_columns():
+    with pytest.raises(HowekitError, match="at least one column"):
+        star(TensorElement([], 2))
+    # one empty column is an element with a column, and round trips
+    b = TensorElement([()], 2)
+    assert star_inverse(star(b), 2, 1) == b
+
+
 def test_star_pairing_failure_paths():
     # B^hw_{(1),(1)} at n = 2 is the single column (2bar); its King
     # partner has shape hat(1) = (1) and weight (n - 1) = (1)

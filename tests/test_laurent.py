@@ -109,6 +109,22 @@ def test_exact_div_rejects_before_step_cap():
         limits.set_cap("decompose_cap", None)
 
 
+def test_trusted_results_equal_validated_ones():
+    # sums, negations, scalings, products and quotients skip the
+    # constructor's checks; each must still be a clean polynomial
+    rng = random.Random(5)
+    for _ in range(20):
+        p = random_poly(rng, 2, 4)
+        q = random_poly(rng, 2, 3)
+        results = [p + q, p + (-p), -p, p.scale(-3), p * q, q * p]
+        if not q.is_zero():
+            results.append((p * q).exact_div(q))
+        for r in results:
+            assert type(r) is LaurentPolynomial
+            assert r == LaurentPolynomial(r.nvars, r.terms)
+            assert 0 not in r.terms.values()
+
+
 def test_json_round_trip_and_ordering():
     p = mono((1, -2), 3) + mono((0, 0), -1) + mono((2, 2))
     obj = p.to_json_obj()
