@@ -113,11 +113,15 @@ def _bracket(columns, order, f_map):
 
 
 def _apply_at(b, j, old, new):
-    col = b.columns[j]
+    # b is a TensorElement or a KingElement, both (columns, rank); the
+    # operators map letters into the alphabet, so the image is valid
+    columns, rank = b._fields(b)
+    col = columns[j]
     entries = sorted(set(col) - {old} | {new})
     if len(entries) != len(col):
         raise HowekitError("operator collision in column %r" % (col,))
-    return b.replace(j, tuple(entries))
+    return type(b)._trusted(columns[:j] + (tuple(entries),) + columns[j + 1:],
+                            rank)
 
 
 def _lower(b, order, f_map):
@@ -248,6 +252,8 @@ def _checked_heights(mu_prime, n):
     if total > get_cap("enum_cap"):
         raise LimitExceeded("B_{mu'} has %d elements, cap is %d"
                             % (total, get_cap("enum_cap")))
+    if n < 1:
+        raise HowekitError("rank must be positive")
     return heights
 
 
@@ -292,7 +298,7 @@ def _highest_weight_elements(mu_prime, n):
 
     def fill(j, col, start):
         if j == len(heights):
-            yield TensorElement(cols, n)
+            yield TensorElement._trusted(tuple(cols), n)
         elif len(col) == heights[j]:
             cols.append(tuple(col))
             yield from fill(j + 1, [], 0)

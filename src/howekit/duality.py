@@ -19,8 +19,10 @@ highest weight vertices it produces King tableaux, with shape and weight
 given by the rectangle complement maps.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
+from operator import attrgetter
 
 from ._value import Value
 from .crystals import TensorElement, highest_weight_vertices
@@ -151,6 +153,13 @@ def tilde_expand(b):
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _king_letters(m):
+    # the shared (j, jbar) letter pairs for j = 1..m, interned per rank
+    return tuple((KingEntry(j, False), KingEntry(j, True))
+                 for j in range(1, m + 1))
+
+
 def star(b):
     """The dual element: column i collects the x with i in ctilde_x.
 
@@ -159,17 +168,16 @@ def star(b):
     """
     if not b.columns:
         raise HowekitError("star needs an element with at least one column")
-    tilde = tilde_expand(b)
-    cols = []
-    for i in range(1, b.n + 1):
-        col = []
-        for j in range(1, len(b.columns) + 1):
-            if i in tilde[2 * j - 2]:
-                col.append(KingEntry(j, False))
-            if i in tilde[2 * j - 1]:
-                col.append(KingEntry(j, True))
-        cols.append(col)
-    return KingElement(cols, len(b.columns))
+    cols = [[] for _ in range(b.n)]
+    # letters go in as j, jbar for j = 1, 2, ..., so every column is sorted
+    for c, (plain, barred) in zip(b.columns, _king_letters(len(b.columns))):
+        letters = set(c)
+        for i, col in enumerate(cols, 1):
+            if -i not in letters:
+                col.append(plain)
+            if i in letters:
+                col.append(barred)
+    return KingElement._trusted(tuple(map(tuple, cols)), len(b.columns))
 
 
 def star_inverse(t, n=None, m=None):
@@ -181,17 +189,22 @@ def star_inverse(t, n=None, m=None):
         m = t.m
     if len(t.columns) != n:
         raise HowekitError("expected %d columns, got %d" % (n, len(t.columns)))
-    cols = []
-    for j in range(1, m + 1):
-        tilde_j = {i for i in range(1, n + 1)
-                   for e in t.columns[i - 1]
-                   if e.value == j and not e.barred}
-        tilde_jbar = {i for i in range(1, n + 1)
-                      for e in t.columns[i - 1]
-                      if e.value == j and e.barred}
-        barred = [-x for x in range(1, n + 1) if x not in tilde_j]
-        cols.append(tuple(sorted(barred)) + tuple(sorted(tilde_jbar)))
-    return TensorElement(cols, n)
+    if n < 1:
+        raise HowekitError("rank must be positive")
+    # tilde[j - 1] and tilde_bar[j - 1]: the King columns holding j, jbar,
+    # in increasing order; letters above m have no column of b
+    tilde = [set() for _ in range(m)]
+    tilde_bar = [[] for _ in range(m)]
+    for i, col in enumerate(t.columns, 1):
+        for e in col:
+            if e.value <= m:
+                if e.barred:
+                    tilde_bar[e.value - 1].append(i)
+                else:
+                    tilde[e.value - 1].add(i)
+    cols = tuple(tuple(-x for x in range(n, 0, -1) if x not in plain)
+                 + tuple(barred) for plain, barred in zip(tilde, tilde_bar))
+    return TensorElement._trusted(cols, n)
 
 
 def king_weight(t):
@@ -222,6 +235,9 @@ def is_semistandard(t):
     return True
 
 
+_order = attrgetter("value", "barred")
+
+
 def is_king_tableau(t):
     """Semistandard with every row-j entry >= j (key at least 2j - 1).
 
@@ -234,16 +250,18 @@ def is_king_tableau(t):
         ...
     howekit.errors.MalformedTableau: column heights (1, 2) not weakly decreasing
     """
-    assembled = sorted(t.columns, key=len, reverse=True)
-    if tuple(len(c) for c in assembled) != t.heights():
+    heights = t.heights()
+    if any(a < b for a, b in zip(heights, heights[1:])):
         raise MalformedTableau("column heights %r not weakly decreasing"
-                               % (t.heights(),))
-    for r, row in enumerate(_rows(assembled), start=1):
-        for e in row:
-            if e.key() < 2 * r - 1:
-                return False
-        for a, b in zip(row, row[1:]):
-            if not a <= b:
+                               % (heights,))
+    cols = t.columns
+    # rows weakly increase from the first column, so its row-j entry is
+    # the least of row j; (value, barred) pairs sort as the keys do
+    if cols and any(e.value < r for r, e in enumerate(cols[0], start=1)):
+        return False
+    for left, right in zip(cols, cols[1:]):
+        for a, b in zip(left, right):
+            if _order(a) > _order(b):
                 return False
     return True
 
@@ -285,7 +303,7 @@ def king_tableaux_by_weight(shape, m, n=None):
 
     def rec(i, acc):
         if i == width:
-            t = KingElement(list(acc) + [()] * (n - width), m)
+            t = KingElement._trusted(tuple(acc) + ((),) * (n - width), m)
             table.setdefault(king_weight(t), []).append(t)
             return
         for col in columns_by_height[heights[i]]:

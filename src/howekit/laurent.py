@@ -160,9 +160,12 @@ class LaurentPolynomial(Value):
         Lex-leading terms are peeled off, so quotient exponents come out
         strictly decreasing.  Lex order is additive, so an exact quotient
         has lexmin(self) - lexmin(divisor) as its least exponent; a
-        quotient exponent below it proves the division inexact.  With more
-        than one variable infinitely many exponents lie above that bound,
-        so the decompose_cap step limit stays as a backstop.
+        quotient exponent below it proves the division inexact.  Newton
+        polytopes add under multiplication, so every exponent of an exact
+        quotient also lies in the coordinate box from
+        min_i(self) - min_i(divisor) to max_i(self) - max_i(divisor); an
+        exponent outside it proves the division inexact, and as the box
+        is finite the loop ends.
         """
         self._check_arity(divisor)
         if divisor.is_zero():
@@ -173,14 +176,12 @@ class LaurentPolynomial(Value):
         pivot_coef = divisor.terms[pivot]
         floor = tuple(a - b
                       for a, b in zip(min(self.terms), min(divisor.terms)))
+        # coordinatewise bounds of the box, one (low, high) pair a variable
+        box = [(min(a) - min(b), max(a) - max(b))
+               for a, b in zip(zip(*self.terms), zip(*divisor.terms))]
         rem = dict(self.terms)
         quot = {}
-        steps = 0
-        cap = limits.get_cap("decompose_cap")
         while rem:
-            steps += 1
-            if steps > cap:
-                raise HowekitError("division did not terminate (inexact input?)")
             top = max(rem)
             coef = rem[top]
             if coef % pivot_coef:
@@ -190,6 +191,9 @@ class LaurentPolynomial(Value):
             if qexp < floor:
                 raise HowekitError("division not exact (quotient exponent %r "
                                    "below %r)" % (qexp, floor))
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(qexp, box)):
+                raise HowekitError("division not exact (quotient exponent %r "
+                                   "outside the box %r)" % (qexp, box))
             qcoef = coef // pivot_coef
             quot[qexp] = quot.get(qexp, 0) + qcoef
             for e, c in divisor.terms.items():

@@ -16,7 +16,8 @@ _DEFAULTS = {
     "vertex_cap": 1_000_000,
     # maximum number of elements an enumeration (crystal spaces, tableaux) may yield
     "enum_cap": 10_000_000,
-    # maximum number of peeling steps in decompose()
+    # maximum number of constituents (peeling steps) decompose() reads off;
+    # exact division needs no cap, its quotient's box bounds the loop
     "decompose_cap": 1_000_000,
 }
 

@@ -136,6 +136,7 @@ def verify_howe_duality(n, m):
     t0 = time.perf_counter()
     lams = list(enumerate_rectangle(n, m))
     rect = set(lams)
+    hats = {lam: hat(lam, n, m) for lam in lams}
 
     def cell(mu):
         fails = []
@@ -149,12 +150,12 @@ def verify_howe_duality(n, m):
                 fails.append({"mu": list(mu.stripped()),
                               "lam": list(q.stripped()),
                               "reason": "unexpected constituent"})
-        mu_hat = hat(mu, n, m).padded(m)
+        mu_hat = hats[mu].padded(m)
         count = 0
         for lam in lams:
             count += 1
             left = dec[lam]
-            right = weight_multiplicity(("C", m), hat(lam, n, m), mu_hat)
+            right = weight_multiplicity(("C", m), hats[lam], mu_hat)
             if left != right:
                 fails.append({"mu": list(mu.stripped()),
                               "lam": list(lam.stripped()),
@@ -190,6 +191,7 @@ def verify_generalized_duality(n, r_max, size_bound):
         m = spec.total()
         lams = list(enumerate_rectangle(n, m))
         rect = set(lams)
+        lam_hats = [hat(lam, n, m) for lam in lams]
         rspec = spec.reversed()
         spec_tag = ["".join(spec.symbols), list(spec.sizes)]
         pools = [list(enumerate_rectangle(n, k)) for k in spec.sizes]
@@ -203,10 +205,10 @@ def verify_generalized_duality(n, r_max, size_bound):
                     fails.append({"spec": spec_tag, "mu": mu_tag,
                                   "lam": list(q.stripped()),
                                   "reason": "unexpected constituent"})
-            for lam in lams:
+            for lam, lam_hat in zip(lams, lam_hats):
                 count += 1
                 left = dec[lam]
-                right = branching_coefficient(hat(lam, n, m), rspec, nu_hat)
+                right = branching_coefficient(lam_hat, rspec, nu_hat)
                 if left != right:
                     fails.append({"spec": spec_tag, "mu": mu_tag,
                                   "lam": list(lam.stripped()),

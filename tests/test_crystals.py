@@ -180,3 +180,37 @@ def test_replace_rebuilds_element():
     c = b.replace(1, (-2, -1))
     assert c == TensorElement([(-2,), (-2, -1)], 2)
     assert b == TensorElement([(-2,), (1,)], 2)
+
+
+def _assert_validated(b):
+    # a result built without checks equals, and hashes like, the public
+    # constructor's result, and holds its columns as tuples
+    rebuilt = TensorElement(b.to_json_obj(), b.n)
+    assert b == rebuilt and hash(b) == hash(rebuilt)
+    assert type(b.columns) is tuple
+    assert all(type(c) is tuple for c in b.columns)
+
+
+def test_highest_weight_elements_equal_validated_ones():
+    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3)]
+    for n, m in cases:
+        for mu_p in itertools.product(range(2 * n + 1), repeat=m):
+            for b in _highest_weight_elements(mu_p, n):
+                _assert_validated(b)
+
+
+def test_operator_images_equal_validated_ones():
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            for mu_p in itertools.product(range(2 * n + 1), repeat=m):
+                for b in enumerate_B(mu_p, n):
+                    for i in range(n):
+                        for op in (crystal_f, crystal_e):
+                            c = op(i, b)
+                            if c is not None:
+                                _assert_validated(c)
+
+
+def test_highest_weight_elements_keep_the_rank_check():
+    with pytest.raises(HowekitError, match="^rank must be positive$"):
+        next(_highest_weight_elements((), 0))

@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from howekit import (HowekitError, KingElement, KingEntry, LimitExceeded,
-                     MalformedTableau, Partition, TensorElement,
+                     MalformedTableau, Partition, TensorElement, enumerate_B,
                      enumerate_king_tableaux, hat, highest_weight_vertices,
                      is_king_tableau, is_semistandard, king_weight, limits,
                      star, star_inverse, tilde_expand,
                      verify_combinatorial_howe, weight_multiplicity)
+from howekit.bicrystal import king_e, king_f
 from howekit.duality import king_tableaux_by_weight, star_pairing
 
 
@@ -251,3 +252,67 @@ def test_star_pairing_failure_paths():
 def test_king_json_round_trip():
     t = K([[(1, False), (2, True)], [(2, False)]], 2)
     assert KingElement.from_json_obj(t.to_json_obj(), 2) == t
+
+
+def _assert_validated(x, rebuilt):
+    # a result built without checks equals, and hashes like, the public
+    # constructor's result, and holds its columns as tuples
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+    assert type(x.columns) is tuple
+    assert all(type(c) is tuple for c in x.columns)
+
+
+def _all_elements(n, m):
+    for mu_p in itertools.product(range(2 * n + 1), repeat=m):
+        yield from enumerate_B(mu_p, n)
+
+
+def _star_by_definition(b):
+    # column i collects the x with i in ctilde_x, x = 1, 1b, 2, ...
+    tilde = tilde_expand(b)
+    return KingElement([[KingEntry.from_key(k) for k in range(1, len(tilde) + 1)
+                         if i in tilde[k - 1]] for i in range(1, b.n + 1)],
+                       len(b.columns))
+
+
+def test_star_images_equal_validated_ones():
+    # b comes from the public constructor, so the round trip checks
+    # star_inverse against it
+    for n in (1, 2):
+        for m in (1, 2):
+            for b in _all_elements(n, m):
+                t = star(b)
+                _assert_validated(t, _star_by_definition(b))
+                _assert_validated(star_inverse(t, n, m), b)
+
+
+def test_star_inverse_keeps_the_rank_check():
+    with pytest.raises(HowekitError, match="^rank must be positive$"):
+        star_inverse(KingElement([], 1))
+
+
+def test_king_table_entries_equal_validated_ones():
+    shapes = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1),
+              (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    for m in (1, 2, 3):
+        for shape in shapes:
+            if len(shape) > m:
+                continue
+            for bucket in king_tableaux_by_weight(Partition(shape), m).values():
+                for t in bucket:
+                    _assert_validated(t, KingElement.from_json_obj(
+                        t.to_json_obj(), m))
+
+
+def test_king_operator_images_equal_validated_ones():
+    for n in (1, 2):
+        for m in (1, 2):
+            ops = list(range(1, m + 1)) + [-j for j in range(1, m)]
+            for b in _all_elements(n, m):
+                t = star(b)
+                for idx in ops:
+                    for op in (king_f, king_e):
+                        s = op(idx, t)
+                        if s is not None:
+                            _assert_validated(s, KingElement.from_json_obj(
+                                s.to_json_obj(), m))

@@ -49,3 +49,37 @@ def test_package_import_leaves_cli_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+# Every call of Value._trusted, which builds an instance without the
+# constructor's checks, as (module, enclosing function).  A new call must
+# come with a test that its results equal the validated constructor's.
+TRUSTED_CALL_SITES = {
+    ("laurent", "LaurentPolynomial.__add__"),
+    ("laurent", "LaurentPolynomial.__neg__"),
+    ("laurent", "LaurentPolynomial.scale"),
+    ("laurent", "LaurentPolynomial.__mul__"),
+    ("laurent", "LaurentPolynomial.exact_div"),
+    ("crystals", "_apply_at"),
+    ("crystals", "_highest_weight_elements.fill"),
+    ("duality", "star"),
+    ("duality", "star_inverse"),
+    ("duality", "king_tableaux_by_weight.rec"),
+}
+
+
+def _trusted_calls(node, module, scope=()):
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_trusted"):
+        yield module, ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from _trusted_calls(child, module, scope)
+
+
+def test_trusted_call_sites_are_listed():
+    found = set()
+    for path in MODULES:
+        found.update(_trusted_calls(ast.parse(path.read_text()), path.stem))
+    assert found == TRUSTED_CALL_SITES

@@ -109,6 +109,27 @@ def test_exact_div_rejects_before_step_cap():
         limits.set_cap("decompose_cap", None)
 
 
+def test_exact_div_box_stops_an_endless_descent():
+    # (x1 + 1) / (x2 - 1) peels x1/x2, x1/x2^2, ...: the first coordinate
+    # stays above the lex floor, so only the Newton box ends the loop
+    from howekit import HowekitError
+    one = LaurentPolynomial.one(2)
+    x1, x2 = mono((1, 0)), mono((0, 1))
+    with pytest.raises(HowekitError, match="outside the box"):
+        (x1 + one).exact_div(x2 - one)
+
+
+def test_cold_weyl_character_ignores_decompose_cap():
+    # exact division is bounded by its box, not by decompose_cap
+    from howekit import Partition, weyl_character
+    from howekit.characters import _weyl_character_cached
+    _weyl_character_cached.cache_clear()
+    with limits.overridden({"decompose_cap": 3}):
+        chi = weyl_character(Partition((2, 1)), "A", 3)
+    assert len(chi) == 7
+    assert chi == weyl_character(Partition((2, 1)), "A", 3)
+
+
 def test_trusted_results_equal_validated_ones():
     # sums, negations, scalings, products and quotients skip the
     # constructor's checks; each must still be a clean polynomial
