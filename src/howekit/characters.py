@@ -14,47 +14,50 @@ produces the same determinant as the Jacobi-Trudi matrix.
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
+from operator import add
 
 from . import limits, weyl
 from ._value import Value
-from .errors import HowekitError, NotACharacter
+from .errors import HowekitError, LimitExceeded, NotACharacter
 from .laurent import LaurentPolynomial
 from .partitions import Partition, check_weight, conjugate, reduce_column_full
 
 
 @lru_cache(maxsize=None)
 def elem_sym(k, family, n):
-    """e_k of the n (family A) or 2n folded (family C) variable values."""
+    """e_k of the n (family A) or 2n folded (family C) variable values.
+
+    Raises LimitExceeded, before enumerating, when e_k has more subsets of
+    the letters than enum_cap allows.
+    """
     family = str(family).upper()
     k = int(k)
     n = int(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if family == "A":
-        if k < 0 or k > n:
-            return LaurentPolynomial.zero(n)
-        terms = {}
-        for subset in combinations(range(n), k):
-            exp = [0] * n
-            for i in subset:
-                exp[i] = 1
-            terms[tuple(exp)] = 1
-        return LaurentPolynomial(n, terms)
-    if family == "C":
-        if k < 0 or k > 2 * n:
-            return LaurentPolynomial.zero(n)
-        terms = {}
-        for subset in combinations(range(2 * n), k):
-            exp = [0] * n
-            for s in subset:
-                if s < n:
-                    exp[s] += 1
-                else:
-                    exp[s - n] -= 1
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0) + 1
-        return LaurentPolynomial(n, terms)
-    raise ValueError("family must be A or C, got %r" % (family,))
+    if family not in ("A", "C"):
+        raise ValueError("family must be A or C, got %r" % (family,))
+    # letter s < n is x_{s+1}; in family C, letter n + s is 1/x_{s+1}
+    letters = n if family == "A" else 2 * n
+    if k < 0 or k > letters:
+        return LaurentPolynomial.zero(n)
+    subsets = comb(letters, k)
+    cap = limits.get_cap("enum_cap")
+    if subsets > cap:
+        raise LimitExceeded("e_%d of %d letters has %d subsets, above "
+                            "enum_cap %d" % (k, letters, subsets, cap))
+    terms = {}
+    for subset in combinations(range(letters), k):
+        exp = [0] * n
+        for s in subset:
+            if s < n:
+                exp[s] += 1
+            else:
+                exp[s - n] -= 1
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + 1
+    return LaurentPolynomial(n, terms)
 
 
 def E_map(p, family, n):
@@ -68,6 +71,25 @@ def E_map(p, family, n):
                 break
         out = out + prod.scale(coef)
     return out
+
+
+def _elem_products(family, n):
+    """A function from a tuple of column heights c to e_{c_1}...e_{c_k}.
+
+    Products are taken left to right and kept for every prefix, so heights
+    sharing a prefix share its multiplications.  The table lives as long
+    as the returned function: one sweep.
+    """
+    table = {(): LaurentPolynomial.one(n)}
+
+    def product(heights):
+        got = table.get(heights)
+        if got is None:
+            got = product(heights[:-1]) * elem_sym(heights[-1], family, n)
+            table[heights] = got
+        return got
+
+    return product
 
 
 def delta_product(family, m):
@@ -309,7 +331,7 @@ def decompose(p, family, rank):
     r = weyl.rho((family, rank))
     strict = {}
     for exp, coef in p.terms.items():
-        got = _to_chamber(tuple(a + b for a, b in zip(exp, r)), family)
+        got = _to_chamber(tuple(map(add, exp, r)), family)
         if got is not None:
             s, eta = got
             strict[eta] = strict.get(eta, 0) + s * coef

@@ -5,6 +5,8 @@ coefficients.  Instances are treated as immutable: every operation builds a
 new polynomial.  Products enforce the process-wide term cap.
 """
 
+from operator import add
+
 from . import limits
 from ._value import Value
 from .errors import HowekitError, LimitExceeded
@@ -75,6 +77,8 @@ class LaurentPolynomial(Value):
             raise ValueError("arity mismatch: %d vs %d" % (self.nvars, other.nvars))
 
     def __add__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         self._check_arity(other)
         out = dict(self.terms)
         for exp, coef in other.terms.items():
@@ -90,6 +94,8 @@ class LaurentPolynomial(Value):
             self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, k):
@@ -102,6 +108,8 @@ class LaurentPolynomial(Value):
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         self._check_arity(other)
         cap = limits.get_cap("term_cap")
         a, b = self.terms, other.terms
@@ -110,7 +118,7 @@ class LaurentPolynomial(Value):
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 c = out.get(key, 0) + c1 * c2
                 if c:
                     out[key] = c
@@ -197,7 +205,7 @@ class LaurentPolynomial(Value):
             qcoef = coef // pivot_coef
             quot[qexp] = quot.get(qexp, 0) + qcoef
             for e, c in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(qexp, e))
+                key = tuple(map(add, qexp, e))
                 nc = rem.get(key, 0) - qcoef * c
                 if nc:
                     rem[key] = nc

@@ -14,7 +14,8 @@ _DEFAULTS = {
     "term_cap": 10_000_000,
     # maximum number of vertices generate_crystal_graph will visit
     "vertex_cap": 1_000_000,
-    # maximum number of elements an enumeration (crystal spaces, tableaux) may yield
+    # maximum number of elements an enumeration (crystal spaces, tableaux) may
+    # yield, and of letter subsets an elementary symmetric polynomial may sum
     "enum_cap": 10_000_000,
     # maximum number of constituents (peeling steps) decompose() reads off;
     # exact division needs no cap, its quotient's box bounds the loop

@@ -9,6 +9,7 @@ g_(X,k) of sp_2m.
 """
 
 from functools import lru_cache
+from operator import sub
 
 from ._value import Value
 from .errors import HowekitError, LimitExceeded
@@ -126,7 +127,7 @@ class _Counter:
         total = self._count(idx + 1, residual, h)
         h -= step
         while h >= 0:
-            residual = tuple(a - b for a, b in zip(residual, root))
+            residual = tuple(map(sub, residual, root))
             total += self._count(idx + 1, residual, h)
             h -= step
         self.memo[key] = total

@@ -15,12 +15,11 @@ import time
 
 from . import limits
 from .bicrystal import jdt_bar, kappa
-from .characters import char_product, decompose, elem_sym
+from .characters import _elem_products, char_product, decompose
 from .crystals import (_highest_weight_elements, crystal_e, enumerate_B,
                        weight_of)
 from .duality import king_tableaux_by_weight, star_pairing
 from .errors import HowekitError, LimitExceeded
-from .laurent import LaurentPolynomial
 from .partfn import DiagramSpec, branching_coefficient, weight_multiplicity
 from .partitions import (MultiPartition, Partition, conjugate,
                          enumerate_rectangle, hat, hat_multi)
@@ -95,17 +94,16 @@ def verify_schur_duality(n, m):
     """
     t0 = time.perf_counter()
     lams = list(enumerate_rectangle(n, m))
+    cols = {lam: conjugate(lam).padded(m) for lam in lams}
     by_size = {}
     for lam in lams:
         by_size.setdefault(lam.size(), []).append(lam)
+    product = _elem_products("A", n)
 
     def cell(mu):
         fails = []
-        mu_p = conjugate(mu).padded(m)
-        p = LaurentPolynomial.one(n)
-        for k in mu_p:
-            p = p * elem_sym(k, "A", n)
-        dec = decompose(p, "A", n)
+        mu_p = cols[mu]
+        dec = decompose(product(mu_p), "A", n)
         same = by_size[mu.size()]
         valid = set(same)
         for q in dec:
@@ -115,8 +113,7 @@ def verify_schur_duality(n, m):
                               "reason": "unexpected constituent"})
         for lam in same:
             left = dec[lam]
-            right = weight_multiplicity(("A", m), conjugate(lam).padded(m),
-                                        mu_p)
+            right = weight_multiplicity(("A", m), cols[lam], mu_p)
             if left != right:
                 fails.append({"mu": list(mu.stripped()),
                               "lam": list(lam.stripped()),
@@ -137,14 +134,11 @@ def verify_howe_duality(n, m):
     lams = list(enumerate_rectangle(n, m))
     rect = set(lams)
     hats = {lam: hat(lam, n, m) for lam in lams}
+    product = _elem_products("C", n)
 
     def cell(mu):
         fails = []
-        mu_p = conjugate(mu).padded(m)
-        p = LaurentPolynomial.one(n)
-        for k in mu_p:
-            p = p * elem_sym(k, "C", n)
-        dec = decompose(p, "C", n)
+        dec = decompose(product(conjugate(mu).padded(m)), "C", n)
         for q in dec:
             if q not in rect:
                 fails.append({"mu": list(mu.stripped()),

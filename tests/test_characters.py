@@ -10,7 +10,7 @@ from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
                      char_product, conjugate, decompose, enumerate_rectangle,
                      jt_determinant, limits, schur_folded, straighten, weyl,
                      weyl_character)
-from howekit.characters import E_map, delta_product, elem_sym
+from howekit.characters import E_map, _elem_products, delta_product, elem_sym
 from howekit.partitions import conjugate_concat, reduce_column_full
 
 
@@ -394,3 +394,41 @@ def test_char_product_validates_components():
     with pytest.raises(ValueError):
         char_product(MultiPartition([[1]], blocks=[1]),
                      DiagramSpec("CC", (1, 1)), 2)
+
+
+def _column_heights(n, m):
+    return [conjugate(mu).padded(m) for mu in enumerate_rectangle(n, m)]
+
+
+@pytest.mark.parametrize("family,bound", [("A", 4), ("C", 3)])
+def test_elem_products_match_left_to_right_products(family, bound):
+    for n in range(1, bound + 1):
+        for m in range(1, bound + 1):
+            product = _elem_products(family, n)
+            for heights in _column_heights(n, m):
+                naive = LaurentPolynomial.one(n)
+                for k in heights:
+                    naive = naive * elem_sym(k, family, n)
+                assert product(heights) == naive
+
+
+def test_elem_products_multiply_once_per_prefix(monkeypatch):
+    # 70 height vectors of length 4: 280 products when each is built anew
+    heights = _column_heights(4, 4)
+    product = _elem_products("A", 4)
+    calls = []
+    mul = LaurentPolynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting)
+    for h in heights:
+        product(h)
+    prefixes = {h[:i] for h in heights for i in range(1, 5)}
+    assert len(calls) == len(prefixes) == 125
+    # a second pass is all table hits
+    for h in heights:
+        product(h)
+    assert len(calls) == 125

@@ -253,6 +253,19 @@ def test_badly_shaped_json_exits_two(capsys, monkeypatch, args, stdin):
     assert err.startswith("error: expected a JSON list of ")
 
 
+def test_elem_sym_over_enum_cap_exits_two(capsys, tmp_path):
+    # e_3 of the 22 folded letters at n = 11 (a size no other test builds,
+    # since elem_sym keeps results) has C(22, 3) = 1540 subsets
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("enum_cap = 1000\n")
+    rc, out, err = run(capsys, ["product", "--symbols", "A", "--sizes", "3",
+                                "--mu", "3", "--n", "11",
+                                "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert err == ("error: e_3 of 22 letters has 1540 subsets, above "
+                   "enum_cap 1000\n")
+
+
 def test_config_lasts_one_call(capsys, tmp_path):
     product = ["product", "--symbols", "C", "--sizes", "2", "--mu", "2,1",
                "--n", "2"]

@@ -1,6 +1,8 @@
 """Sparse Laurent polynomial arithmetic and the deformation factors."""
 
 import itertools
+import math
+import operator
 import random
 
 import pytest
@@ -193,7 +195,6 @@ def test_term_cap_env_override(monkeypatch):
 
 def test_elem_sym_values():
     # A family: coefficient census matches binomials
-    import math
     for n in (1, 2, 3):
         for k in range(0, n + 1):
             p = elem_sym(k, "A", n)
@@ -215,3 +216,33 @@ def test_elem_sym_fold_symmetry():
     for n in (1, 2, 3):
         for k in range(0, n + 1):
             assert elem_sym(n + k, "C", n) == elem_sym(n - k, "C", n)
+
+
+def test_elem_sym_checks_subsets_against_enum_cap():
+    # keys no other test builds: lru_cache keeps results, never exceptions
+    with limits.overridden({"enum_cap": math.comb(13, 5) - 1}):
+        with pytest.raises(LimitExceeded):
+            elem_sym(5, "A", 13)
+    with limits.overridden({"enum_cap": math.comb(14, 4) - 1}):
+        with pytest.raises(LimitExceeded):
+            elem_sym(4, "C", 7)
+    with limits.overridden({"enum_cap": math.comb(13, 5)}):
+        assert elem_sym(5, "A", 13).evaluate_ones() == math.comb(13, 5)
+    # C(28, 14) is about 40 M subsets: rejected before any is built
+    with pytest.raises(LimitExceeded):
+        elem_sym(14, "C", 14)
+
+
+def test_non_polynomial_operands_raise_type_error():
+    p = mono((1, 0)) + mono((0, -1), 2)
+    cases = [(op, bad) for op in (operator.add, operator.sub)
+             for bad in (1, 2.5, "x", None)]
+    cases += [(operator.mul, bad) for bad in (2.5, "x", None)]
+    for op, bad in cases:
+        with pytest.raises(TypeError):
+            op(p, bad)
+        with pytest.raises(TypeError):
+            op(bad, p)
+    assert p * True == p
+    assert 2 * p == p * 2 == p + p
+    assert (p * 0).is_zero()
