@@ -13,7 +13,7 @@ produces the same determinant as the Jacobi-Trudi matrix.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 from operator import add
 
@@ -22,6 +22,16 @@ from ._value import Value
 from .errors import HowekitError, LimitExceeded, NotACharacter
 from .laurent import LaurentPolynomial
 from .partitions import Partition, check_weight, conjugate, reduce_column_full
+
+
+def _check_subsets(k, letters):
+    """Raise LimitExceeded when e_k has more subsets of the letters than
+    enum_cap allows."""
+    subsets = comb(letters, k) if k >= 0 else 0
+    cap = limits.get_cap("enum_cap")
+    if subsets > cap:
+        raise LimitExceeded("e_%d of %d letters has %d subsets, above "
+                            "enum_cap %d" % (k, letters, subsets, cap))
 
 
 @lru_cache(maxsize=None)
@@ -42,11 +52,7 @@ def elem_sym(k, family, n):
     letters = n if family == "A" else 2 * n
     if k < 0 or k > letters:
         return LaurentPolynomial.zero(n)
-    subsets = comb(letters, k)
-    cap = limits.get_cap("enum_cap")
-    if subsets > cap:
-        raise LimitExceeded("e_%d of %d letters has %d subsets, above "
-                            "enum_cap %d" % (k, letters, subsets, cap))
+    _check_subsets(k, letters)
     terms = {}
     for subset in combinations(range(letters), k):
         exp = [0] * n
@@ -62,14 +68,10 @@ def elem_sym(k, family, n):
 
 def E_map(p, family, n):
     """Linear extension of x^beta -> e_{beta_1}*...*e_{beta_m}."""
+    elem_product = _elem_products(family, n)
     out = LaurentPolynomial.zero(n)
     for exp, coef in sorted(p.terms.items()):
-        prod = LaurentPolynomial.one(n)
-        for b in exp:
-            prod = prod * elem_sym(b, family, n)
-            if prod.is_zero():
-                break
-        out = out + prod.scale(coef)
+        out = out + elem_product(exp).scale(coef)
     return out
 
 
@@ -94,23 +96,13 @@ def _elem_products(family, n):
 
 def delta_product(family, m):
     """Delta^A_m = prod_{i<j} (1 - x_i/x_j); Delta^C_m has the extra
-    factors prod_{i<=j} (1 - 1/(x_i x_j))."""
-    family = str(family).upper()
-    if family not in ("A", "C"):
-        raise ValueError("family must be A or C")
+    factors prod_{i<=j} (1 - 1/(x_i x_j)): one factor per positive root
+    alpha, 1 - x^alpha for alpha = e_i - e_j and 1 - x^-alpha otherwise."""
+    id = weyl.check_id((family, m))
     out = LaurentPolynomial.one(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            exp = [0] * m
-            exp[i], exp[j] = 1, -1
-            out = out * (LaurentPolynomial.one(m) - LaurentPolynomial.monomial(exp))
-    if family == "C":
-        for i in range(m):
-            for j in range(i, m):
-                exp = [0] * m
-                exp[i] -= 1
-                exp[j] -= 1
-                out = out * (LaurentPolynomial.one(m) - LaurentPolynomial.monomial(exp))
+    for a in weyl.positive_roots(id):
+        exp = a if sum(a) == 0 else tuple(-x for x in a)
+        out = out * (LaurentPolynomial.one(m) - LaurentPolynomial.monomial(exp))
     return out
 
 
@@ -143,6 +135,23 @@ def _det(matrix):
     return minor(0, tuple(range(size)))
 
 
+def _jt_det(degrees, family, n):
+    """The determinant whose (i, j) entry is e_k, or e_k - e_l, for
+    degrees[i][j] = (k,) or (k, l).  Every entry's subset count is checked
+    against enum_cap, in build order, before any entry is built."""
+    letters = n if family == "A" else 2 * n
+    for row in degrees:
+        for ks in row:
+            for k in ks:
+                _check_subsets(k, letters)
+
+    def entry(ks):
+        p = elem_sym(ks[0], family, n)
+        return p - elem_sym(ks[1], family, n) if len(ks) > 1 else p
+
+    return _det([[entry(ks) for ks in row] for row in degrees])
+
+
 def jt_determinant(beta, family, n, m):
     """The Jacobi-Trudi determinant v_beta.
 
@@ -156,17 +165,9 @@ def jt_determinant(beta, family, n, m):
     beta = check_weight(beta, m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    matrix = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            if family == "A":
-                row.append(elem_sym(beta[i - 1] + j - i, "A", n))
-            else:
-                row.append(elem_sym(beta[i - 1] - i + j, "C", n)
-                           - elem_sym(beta[i - 1] - i - j, "C", n))
-        matrix.append(row)
-    return _det(matrix)
+    return _jt_det([[(b - i + j,) if family == "A" else (b - i + j, b - i - j)
+                     for j in range(1, m + 1)]
+                    for i, b in enumerate(beta, 1)], family, n)
 
 
 def _to_chamber(y, family):
@@ -226,22 +227,26 @@ def straighten(beta, family, n, m):
     raise ValueError("family must be A or C")
 
 
+def _alternant(v, family):
+    """sum_w eps(w) x^{w(v)} for a strictly dominant v, each sign read off
+    by sorting the orbit point back into the chamber."""
+    if family == "C":
+        orbit = (y for p in permutations(v)
+                 for y in product(*((x, -x) for x in p)))
+    else:
+        orbit = permutations(v)
+    return LaurentPolynomial(len(v), {y: _to_chamber(y, family)[0]
+                                      for y in orbit})
+
+
 @lru_cache(maxsize=None)
 def _weyl_character_cached(lam, family, rank):
-    id = (family, rank)
-    r = weyl.rho(id)
-    numer_exp = tuple(a + b for a, b in zip(lam, r))
-    numer = {}
-    denom = {}
-    for w in weyl.enumerate_weyl(id):
-        s = weyl.sign(w)
-        e1 = weyl.act(w, numer_exp)
-        numer[e1] = numer.get(e1, 0) + s
-        e2 = weyl.act(w, r)
-        denom[e2] = denom.get(e2, 0) + s
-    a_top = LaurentPolynomial(rank, numer)
-    a_rho = LaurentPolynomial(rank, denom)
-    return a_top.exact_div(a_rho)
+    if rank > weyl.MAX_RANK[family]:
+        raise LimitExceeded("rank %d above enumeration cap for type %s"
+                            % (rank, family))
+    r = weyl.rho((family, rank))
+    return _alternant(tuple(map(add, lam, r)), family).exact_div(
+        _alternant(r, family))
 
 
 def weyl_character(lam, family, rank):
@@ -367,13 +372,8 @@ def schur_folded(delta, n):
         return LaurentPolynomial.one(n)
     width = s[0]
     cols = conjugate(delta).padded(width)
-    matrix = []
-    for i in range(1, width + 1):
-        row = []
-        for j in range(1, width + 1):
-            row.append(elem_sym(cols[i - 1] - i + j, "C", n))
-        matrix.append(row)
-    return _det(matrix)
+    return _jt_det([[(c - i + j,) for j in range(1, width + 1)]
+                    for i, c in enumerate(cols, 1)], "C", n)
 
 
 def char_product(mu, spec, n):

@@ -1,15 +1,17 @@
 """Kostant partition functions, weight multiplicities, branching coefficients.
 
-The partition function of a root list counts expressions of a vector as a
-nonnegative integer combination of the listed roots.  It is evaluated
-pointwise by memoized dynamic programming; the generating series is never
-materialized.  On top of it sit the alternating Weyl sums: Kostant's weight
-multiplicity formula and the branching rule for block-diagonal subalgebras
-g_(X,k) of sp_2m.
+The partition function of a set of positive roots of C_m counts
+expressions of a vector as a nonnegative integer combination of them.  It
+is evaluated pointwise by peeling one coordinate at a time, memoized on the
+residual vector; the generating series is never materialized.  On top of
+it sit the alternating Weyl sums: Kostant's weight multiplicity formula
+and the branching rule for block-diagonal subalgebras g_(X,k) of sp_2m.
 """
 
+from collections import defaultdict
 from functools import lru_cache
-from operator import sub
+from math import comb
+from operator import add
 
 from ._value import Value
 from .errors import HowekitError, LimitExceeded
@@ -73,76 +75,96 @@ class DiagramSpec(Value):
                      if r not in blocked)
 
 
-def _height_vector(m):
-    # <., rho_C> is strictly positive on every positive root of C_m
-    return tuple(range(m, 0, -1))
-
-
 class _Counter:
-    """Memoized DP for one fixed root list."""
+    """The partition function of a fixed subset of R^+(C_m), one coordinate
+    at a time (the flow-polytope recursion).
 
-    def __init__(self, roots):
-        if not roots:
-            self.m = None
-            self.roots = ()
-            return
-        self.m = len(roots[0])
-        hv = _height_vector(self.m)
-        heights = []
+    The roots whose first nonzero coordinate is i are e_i - e_j, e_i + e_j
+    (j > i) and 2e_i.  Taking a_j copies of e_i - e_j and b_j of e_i + e_j
+    shifts coordinate j by d_j = a_j - b_j: d_j > 0 needs e_i - e_j in the
+    set, d_j < 0 needs e_i + e_j.  What beta_i leaves after sum |d_j| must
+    be an even 2k, spread over the f free slots (each j with both roots,
+    and 2e_i) in C(k+f-1, f-1) ways.  The rest counts beta_{i+1..} + d over
+    the roots that do not touch coordinate i, so the memo key is the
+    residual alone: its length fixes the level.
+    """
+
+    def __init__(self, roots, m):
+        self.memo = {(): 1}
+        if roots and (len(set(roots)) < len(roots) or not set(
+                weyl.positive_roots(("C", m))).issuperset(roots)):
+            raise ValueError("%r is not a subset of R+(C_%d)" % (roots, m))
+        signs = defaultdict(set)  # (i, j) -> r_j over r = e_i +- e_j, 2e_i
         for r in roots:
-            h = sum(a * b for a, b in zip(r, hv))
-            if h <= 0:
-                raise ValueError("root %r has nonpositive height" % (r,))
-            heights.append(h)
-        order = sorted(range(len(roots)), key=lambda i: (-heights[i], roots[i]))
-        self.roots = tuple(roots[i] for i in order)
-        self.heights = tuple(heights[i] for i in order)
-        self.hv = hv
-        self.memo = {}
+            nz = [k for k, x in enumerate(r) if x]
+            signs[nz[0], nz[-1]].add(r[nz[-1]])
+        # by residual length: whether each d_j may go below and above 0,
+        # and the number of free slots; None where no root starts
+        self.levels = {}
+        for i in range(m):
+            slots = tuple((1 in signs[i, j], -1 in signs[i, j])
+                          for j in range(i + 1, m))
+            free = sum(map(all, slots)) + ((i, i) in signs)
+            idle = not free and not any(map(any, slots))
+            self.levels[m - i] = None if idle else (slots, free)
 
     def count(self, beta):
-        if self.m is None:
-            return 1 if all(x == 0 for x in beta) else 0
-        if len(beta) != self.m:
-            raise ValueError("vector length mismatch")
-        beta = tuple(beta)
-        h = sum(a * b for a, b in zip(beta, self.hv))
-        if h < 0:
-            return 0
-        return self._count(0, beta, h)
-
-    def _count(self, idx, residual, h):
-        # h is the height of residual (>= 0); the height is linear, so each
-        # copy of roots[idx] taken off lowers it by heights[idx]
-        if h == 0:
-            return 1 if not any(residual) else 0
-        if idx == len(self.roots):
-            return 0
-        key = (idx, residual)
-        got = self.memo.get(key)
+        got = self.memo.get(beta)
         if got is not None:
             return got
-        root = self.roots[idx]
-        step = self.heights[idx]
-        total = self._count(idx + 1, residual, h)
-        h -= step
-        while h >= 0:
-            residual = tuple(map(sub, residual, root))
-            total += self._count(idx + 1, residual, h)
-            h -= step
-        self.memo[key] = total
+        rest = beta[1:]
+        total = 0
+        level = self.levels[len(beta)]
+        if level is None:
+            if not beta[0]:
+                total = self.count(rest)
+        elif beta[0] >= 0:
+            slots, free = level
+            shifted = list(rest)
+
+            def place(t, partial, left):
+                # t: the slot to fill; partial: the sum of the shifted
+                # residual before slot t, which stays >= 0 as it does for
+                # every positive root; left: what remains of beta_0 after
+                # sum |d_j|
+                nonlocal total
+                if t == len(rest):
+                    k, odd = divmod(left, 2)
+                    if not odd:
+                        weight = comb(k + free - 1, free - 1) if free else not k
+                        if weight:
+                            total += weight * self.count(tuple(shifted))
+                    return
+                x = rest[t]
+                down, up = slots[t]
+                lo = max(-left if down else 0, -partial - x)
+                hi = left if up else 0
+                for d in range(lo, hi + 1):
+                    shifted[t] = x + d
+                    place(t + 1, partial + x + d, left - abs(d))
+
+            place(0, 0, beta[0])
+        self.memo[beta] = total
         return total
 
 
 @lru_cache(maxsize=None)
-def _counter_for(roots):
-    return _Counter(roots)
+def _counter_for(roots, m):
+    return _Counter(roots, m)
 
 
 def kostant_partition(roots, beta):
-    """Number of ways to write beta as a nonnegative combination of roots."""
+    """Number of ways to write beta as a nonnegative combination of roots.
+
+    roots must be distinct positive roots of one C_m (the type A roots
+    e_i - e_j among them); any other list raises ValueError.
+    """
     roots = tuple(tuple(int(x) for x in r) for r in roots)
-    return _counter_for(roots).count(tuple(int(x) for x in beta))
+    beta = tuple(int(x) for x in beta)
+    m = len(roots[0]) if roots else len(beta)
+    if len(beta) != m:
+        raise ValueError("vector length mismatch")
+    return _counter_for(roots, m).count(beta)
 
 
 def twisted_partition_C(beta, m):
@@ -157,19 +179,22 @@ def restricted_partition(spec, beta):
     return kostant_partition(spec.complement_roots(), beta)
 
 
-def _weyl_sum(count, shifted, target, signed):
-    """sum_w eps(w) count(w(shifted) - target) over the Weyl group.
+def _weyl_sum(count, lam, mu, id):
+    """sum_w eps(w) count(w(lam + rho) - (mu + rho)) over the Weyl group.
 
-    w runs over the signed permutations (type C) when signed, else over
-    the plain permutations (type A).  count must vanish outside the cone
-    spanned by the positive roots of A_{m-1} or C_m.  Every such root lies
-    in {x : x_1 + ... + x_k >= 0 for all k}, so w is built one coordinate
-    at a time, its sign carried along, and a prefix is cut as soon as a
-    partial sum of the argument goes negative: every term it would reach
-    has count 0.
+    w runs over the signed permutations (type C) or the plain
+    permutations (type A) of a normalized id = (family, m).  count must
+    vanish outside the cone spanned by the positive roots of A_{m-1} or
+    C_m.  Every such root lies in {x : x_1 + ... + x_k >= 0 for all k}, so
+    w is built one coordinate at a time, its sign carried along, and a
+    prefix is cut as soon as a partial sum of the argument goes negative:
+    every term it would reach has count 0.
     """
-    m = len(shifted)
-    flips = (1, -1) if signed else (1,)
+    r = weyl.rho(id)
+    shifted = tuple(map(add, lam, r))
+    target = tuple(map(add, mu, r))
+    m = len(r)
+    flips = (1, -1) if id[0] == "C" else (1,)
     arg = [0] * m
     total = 0
 
@@ -202,10 +227,8 @@ def weight_multiplicity(id, lam, mu):
     if m > weyl.MAX_RANK[family]:
         raise LimitExceeded("rank %d above enumeration cap for type %s"
                             % (m, family))
-    r = weyl.rho(id)
-    total = _weyl_sum(_counter_for(weyl.positive_roots(id)).count,
-                      tuple(a + b for a, b in zip(lam, r)),
-                      tuple(a + b for a, b in zip(mu, r)), family == "C")
+    total = _weyl_sum(_counter_for(weyl.positive_roots(id), m).count, lam, mu,
+                      (family, m))
     if total < 0:
         raise HowekitError("negative weight multiplicity for %r, %r" % (lam, mu))
     return total
@@ -213,7 +236,7 @@ def weight_multiplicity(id, lam, mu):
 
 @lru_cache(maxsize=None)
 def _complement_counter(spec):
-    return _counter_for(spec.complement_roots())
+    return _counter_for(spec.complement_roots(), spec.total())
 
 
 def branching_coefficient(kappa, spec, nu):
@@ -236,10 +259,7 @@ def branching_coefficient(kappa, spec, nu):
         nu_vec = nu.flatten()
     else:
         nu_vec = check_weight(nu, m)
-    r = weyl.rho(("C", m))
-    total = _weyl_sum(_complement_counter(spec).count,
-                      tuple(a + b for a, b in zip(kappa, r)),
-                      tuple(a + b for a, b in zip(nu_vec, r)), True)
+    total = _weyl_sum(_complement_counter(spec).count, kappa, nu_vec, ("C", m))
     if total < 0:
         raise HowekitError("negative branching coefficient for %r" % (kappa,))
     return total

@@ -12,6 +12,8 @@ delta = (-n-1, ..., -n-m).
 
 import itertools
 from functools import lru_cache
+from math import prod
+from operator import add, sub
 
 from ._value import Value
 from .errors import LimitExceeded
@@ -103,30 +105,11 @@ def transposition(i, m):
     return WeylElement(tuple(perm))
 
 
-def _perm_sign(perm):
-    perm = list(perm)
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        cycle = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j] - 1
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def sign(w):
     """eps(w) = (sign of the permutation) * (product of the signs)."""
-    s = _perm_sign(w.perm)
-    for x in w.signs:
-        s *= x
-    return s
+    p = w.perm
+    inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+    return (-1) ** inversions * prod(w.signs)
 
 
 def act(w, v):
@@ -141,14 +124,11 @@ def enumerate_weyl(id):
     family, m = check_id(id)
     if m > MAX_RANK[family]:
         raise LimitExceeded("rank %d above enumeration cap for type %s" % (m, family))
-    perms = itertools.permutations(range(1, m + 1))
-    if family == "A":
-        return tuple(WeylElement(p) for p in perms)
-    out = []
-    for p in perms:
-        for signs in itertools.product((1, -1), repeat=m):
-            out.append(WeylElement(p, signs))
-    return tuple(out)
+    signs = (list(itertools.product((1, -1), repeat=m)) if family == "C"
+             else [None])
+    return tuple(WeylElement(p, s)
+                 for p in itertools.permutations(range(1, m + 1))
+                 for s in signs)
 
 
 def rho(id):
@@ -158,12 +138,15 @@ def rho(id):
     return tuple(range(m - 1, -1, -1))
 
 
+def _dot(w, v, shift):
+    """w(v + shift) - shift."""
+    v = check_weight(v, len(shift))
+    return tuple(map(sub, act(w, tuple(map(add, v, shift))), shift))
+
+
 def dot_rho(w, lam, id):
     """w o lam = w(lam + rho) - rho."""
-    r = rho(id)
-    lam = check_weight(lam, len(r))
-    shifted = act(w, tuple(a + b for a, b in zip(lam, r)))
-    return tuple(a - b for a, b in zip(shifted, r))
+    return _dot(w, lam, rho(id))
 
 
 def delta_shift(n, m):
@@ -173,30 +156,22 @@ def delta_shift(n, m):
 
 def dot_delta_C(w, beta, n, m):
     """w o beta = w(beta + delta) - delta with delta = (-n-1,...,-n-m)."""
-    d = delta_shift(n, m)
-    beta = check_weight(beta, m)
-    shifted = act(w, tuple(a + b for a, b in zip(beta, d)))
-    return tuple(a - b for a, b in zip(shifted, d))
+    return _dot(w, beta, delta_shift(n, m))
 
 
 @lru_cache(maxsize=None)
 def positive_roots(id):
     """The positive roots as vectors in Z^m."""
     family, m = check_id(id)
-    roots = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            r = [0] * m
-            r[i], r[j] = 1, -1
-            roots.append(tuple(r))
+
+    def root(i, j, s):
+        r = [0] * m
+        r[i] += 1
+        r[j] += s
+        return tuple(r)
+
+    roots = [root(i, j, -1) for i in range(m) for j in range(i + 1, m)]
     if family == "C":
-        for i in range(m):
-            for j in range(i + 1, m):
-                r = [0] * m
-                r[i], r[j] = 1, 1
-                roots.append(tuple(r))
-        for i in range(m):
-            r = [0] * m
-            r[i] = 2
-            roots.append(tuple(r))
+        roots += [root(i, j, 1) for i in range(m) for j in range(i + 1, m)]
+        roots += [root(i, i, 1) for i in range(m)]
     return tuple(roots)

@@ -10,6 +10,7 @@ from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
                      char_product, conjugate, decompose, enumerate_rectangle,
                      jt_determinant, limits, schur_folded, straighten, weyl,
                      weyl_character)
+from howekit import characters
 from howekit.characters import E_map, _elem_products, delta_product, elem_sym
 from howekit.partitions import conjugate_concat, reduce_column_full
 
@@ -335,6 +336,52 @@ def test_decompose_cap_counts_constituents_like_peeling():
             with pytest.raises(HowekitError,
                                match="decompose exceeded 4 peeling steps"):
                 decompose(p, fam, 2)
+
+
+def test_jacobi_trudi_checks_every_entry_before_building(monkeypatch):
+    # each case trips on an entry that build order reaches after smaller
+    # ones; with the cache cold, any entry built would enumerate subsets
+    elem_sym.cache_clear()
+    calls = []
+    monkeypatch.setattr(characters, "combinations",
+                        lambda *args: calls.append(args)
+                        or itertools.combinations(*args))
+    cases = [
+        # row 1 of s_(3) at n = 6: e_1, e_2, e_3 of 12 letters
+        (lambda: schur_folded(Partition((3,)), 6), 12, 3),
+        # rows (e_2, e_3), (e_1, e_2) of 8 letters
+        (lambda: jt_determinant((2, 2), "A", 8, 2), 8, 3),
+        # rows (e_2 - e_0, e_3 - e_-1), (e_1 - e_-1, e_2 - e_-2)
+        (lambda: jt_determinant((2, 2), "C", 4, 2), 8, 3),
+    ]
+    for build, letters, k in cases:
+        subsets = math.comb(letters, k)
+        with limits.overridden({"enum_cap": subsets - 1}):
+            with pytest.raises(LimitExceeded) as err:
+                build()
+        assert str(err.value) == ("e_%d of %d letters has %d subsets, above "
+                                  "enum_cap %d" % (k, letters, subsets,
+                                                   subsets - 1))
+        assert calls == []
+    # at the default cap the same builds enumerate
+    for build, _, _ in cases:
+        build()
+    assert calls
+
+
+def test_weyl_character_above_max_rank_builds_no_orbit(monkeypatch):
+    # an orbit of W(A) at rank 11 has 39,916,800 points: fail, not build
+    def refuse(*args):
+        raise AssertionError("orbit of %r built" % (args,))
+
+    monkeypatch.setattr(characters, "permutations", refuse)
+    for fam in ("A", "C"):
+        rank = weyl.MAX_RANK[fam] + 1
+        with pytest.raises(LimitExceeded,
+                           match="rank %d above enumeration cap" % rank):
+            weyl_character(Partition(()), fam, rank)
+    with pytest.raises(AssertionError, match="orbit of"):
+        characters._alternant((2, 1, 0), "A")
 
 
 def test_decompose_needs_no_weyl_group():

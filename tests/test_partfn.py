@@ -20,18 +20,25 @@ from howekit.weyl import (MAX_RANK, act, dot_rho, enumerate_weyl,
 
 
 def brute(roots, beta):
-    """Bounded exhaustive count, assuming small beta."""
+    """Bounded exhaustive count, assuming small beta.  A branch stops once
+    its residual has negative height <., (m, ..., 1)>, which every positive
+    root of C_m has positive, or is nonzero where no root left touches."""
     roots = list(roots)
     bound = sum(abs(x) for x in beta) + 1
+    hv = range(len(beta), 0, -1)
+    untouched = [[not any(r[i] for r in roots[idx:]) for i in range(len(beta))]
+                 for idx in range(len(roots) + 1)]
 
     def rec(idx, residual):
         if all(x == 0 for x in residual):
             return 1
-        if idx == len(roots):
+        if any(x and u for x, u in zip(residual, untouched[idx])):
             return 0
         total = 0
         for k in range(bound + 1):
             nxt = tuple(a - k * b for a, b in zip(residual, roots[idx]))
+            if sum(a * h for a, h in zip(nxt, hv)) < 0:
+                break
             total += rec(idx + 1, nxt)
         return total
 
@@ -47,12 +54,31 @@ def test_kostant_pinned_values():
 
 
 def test_kostant_against_bounded_search():
-    for id in (("A", 3), ("C", 2)):
-        roots = positive_roots(id)
-        m = id[1]
-        for beta in itertools.product(range(-1, 4), repeat=m):
+    # each shift d_j of the peel is >= 0 only (type A), <= 0 only (inside
+    # an A block of a complement), free (C, and across blocks) or fixed
+    # (inside a C block), with 2e_i (C, A blocks) and without (A, C blocks)
+    cases = [(positive_roots(id), id[1], span)
+             for id, span in ((("A", 3), 4), (("C", 2), 4), (("C", 3), 3),
+                              (("A", 5), 2))]
+    cases += [(DiagramSpec(symbols, sizes).complement_roots(), total, span)
+              for total, span in ((1, 4), (2, 4), (3, 3))
+              for r in range(1, total + 1)
+              for sizes in itertools.product(range(1, total + 1), repeat=r)
+              if sum(sizes) == total
+              for symbols in itertools.product("AC", repeat=r)]
+    for roots, m, span in cases:
+        for beta in itertools.product(range(-1, span), repeat=m):
             assert kostant_partition(roots, beta) == brute(roots, beta), \
-                (id, beta)
+                (roots, beta)
+
+
+def test_kostant_takes_subsets_of_positive_roots_only():
+    for roots in ([(1, 0), (0, 1)], [(1, 1, 0), (1, -1)], [(-1, 1)],
+                  [(2, 0), (2, 0)], [(0, 0)]):
+        with pytest.raises(ValueError):
+            kostant_partition(roots, (0, 0))
+    for beta in ((), (0,), (0, 0, 0), (1,), (0, -1), (2, 0)):
+        assert kostant_partition([], beta) == (0 if any(beta) else 1)
 
 
 def test_twisted_is_involution_composed():
