@@ -184,34 +184,19 @@ def jdt_bar(j, b):
     l = _min_offset(left, right)
     if l == 0:
         return None
-    # grid[r][0] = left entry at row r, grid[r][1] = right entry; rows 1-based
-    grid = {}
-    for r, x in enumerate(left, start=l + 1):
-        grid[(r, 0)] = x
-    for r, x in enumerate(right, start=1):
-        grid[(r, 1)] = x
-    hole = (l, 0)
-    while True:
-        below = (hole[0] + 1, hole[1])
-        rightn = (hole[0], 1) if hole[1] == 0 else None
-        has_below = below in grid
-        has_right = rightn in grid if rightn else False
-        if has_below and has_right and grid[below] <= grid[rightn]:
-            grid[hole] = grid.pop(below)
-            hole = below
-        elif has_right:
-            grid[hole] = grid.pop(rightn)
-            hole = rightn
-        elif has_below:
-            grid[hole] = grid.pop(below)
-            hole = below
-        else:
-            break
-    new_left = [grid[k] for k in sorted(k for k in grid if k[1] == 0)]
-    new_right = [grid[k] for k in sorted(k for k in grid if k[1] == 1)]
+    # left sits at rows l+1.., right at rows 1..; the hole starts at row l
+    # of the left column and sinks while the entry below it is <= its
+    # right neighbour, then takes that neighbour, and the right column
+    # closes up over the gap
+    k = l
+    while (k - l < len(left) and k <= len(right)
+           and left[k - l] <= right[k - 1]):
+        k += 1
+    if k <= len(right):
+        left.insert(k - l, right.pop(k - 1))
     cols = list(bc.columns)
-    cols[2 * j - 1] = tuple(new_right)
-    cols[2 * j] = tuple(new_left)
+    cols[2 * j - 1] = tuple(right)
+    cols[2 * j] = tuple(left)
     return from_bar_complement(BarComplement(cols, b.n))
 
 

@@ -24,6 +24,7 @@ import json
 import re
 import sys
 from functools import cache
+from operator import attrgetter
 
 from . import limits, verify, weyl
 from .bicrystal import charge_king, jdt_bar, kappa, statistics
@@ -240,38 +241,15 @@ def _cmd_charge(ns):
     return 0
 
 
-def _sweep(rep):
-    _emit(rep)
-    return 1 if rep["failures"] else 0
-
-
-def _cmd_verify_schur(ns):
-    return _sweep(verify.verify_schur_duality(ns.n, ns.m))
-
-
-def _cmd_verify_howe(ns):
-    return _sweep(verify.verify_howe_duality(ns.n, ns.m))
-
-
-def _cmd_verify_bijection(ns):
-    return _sweep(verify.verify_bijection(ns.n, ns.m))
-
-
-def _cmd_verify_contraction(ns):
-    return _sweep(verify.verify_contraction(ns.n, ns.m))
-
-
-def _cmd_verify_jdt(ns):
-    return _sweep(verify.verify_jdt(ns.n, ns.m))
-
-
-def _cmd_verify_generalized(ns):
-    return _sweep(verify.verify_generalized_duality(ns.n, ns.r, ns.size_bound))
-
-
-def _cmd_injectivity(ns):
-    spec = DiagramSpec(_parse_symbols(ns.symbols), _parse_ints(ns.sizes))
-    return _sweep(verify.injectivity_scan(spec, ns.part_bound, ns.n_bound))
+def _sweep(name, args=attrgetter("n", "m")):
+    """The handler of a sweep subcommand: verify.<name> on args(ns), whose
+    report is printed; exit 1 if it lists failures.  The sweep is looked up
+    when the command runs, so a replaced verify.<name> takes effect."""
+    def handler(ns):
+        rep = getattr(verify, name)(*args(ns))
+        _emit(rep)
+        return 1 if rep["failures"] else 0
+    return handler
 
 
 # -- parser -----------------------------------------------------------------
@@ -352,25 +330,28 @@ def _build_parser():
         "statistics of an element",
         king={"default": None}, m={"type": int, "default": None},
         element={"default": None}, n={"type": int, "default": None})
-    add("verify-schur", _cmd_verify_schur, "sweep the type A duality",
-        n=req_int, m=req_int)
-    add("verify-howe", _cmd_verify_howe, "sweep the type C duality",
-        n=req_int, m=req_int)
-    add("verify-bijection", _cmd_verify_bijection, "sweep the star "
-        "bijection against King tableaux",
-        n=req_int, m=req_int)
-    add("verify-contraction", _cmd_verify_contraction, "sweep commutation "
-        "of contraction with the crystal operators",
-        n=req_int, m=req_int)
-    add("verify-jdt", _cmd_verify_jdt, "sweep jeu de taquin against the "
-        "transported operators",
-        n=req_int, m=req_int)
-    add("verify-generalized", _cmd_verify_generalized, "sweep the two "
-        "multiplicity routes over block shapes",
+    for name, sweep, help_text in [
+            ("verify-schur", "verify_schur_duality",
+             "sweep the type A duality"),
+            ("verify-howe", "verify_howe_duality", "sweep the type C duality"),
+            ("verify-bijection", "verify_bijection", "sweep the star "
+             "bijection against King tableaux"),
+            ("verify-contraction", "verify_contraction", "sweep commutation "
+             "of contraction with the crystal operators"),
+            ("verify-jdt", "verify_jdt", "sweep jeu de taquin against the "
+             "transported operators")]:
+        add(name, _sweep(sweep), help_text, n=req_int, m=req_int)
+    add("verify-generalized",
+        _sweep("verify_generalized_duality",
+               attrgetter("n", "r", "size_bound")),
+        "sweep the two multiplicity routes over block shapes",
         n=req_int, r=req_int,
         size_bound={"type": int, "default": 2})
-    add("injectivity", _cmd_injectivity, "scan for distinct weights with "
-        "equal branching vectors",
+    add("injectivity",
+        _sweep("injectivity_scan", lambda ns: (
+            DiagramSpec(_parse_symbols(ns.symbols), _parse_ints(ns.sizes)),
+            ns.part_bound, ns.n_bound)),
+        "scan for distinct weights with equal branching vectors",
         symbols=req_str, sizes=req_str, part_bound=req_int, n_bound=req_int)
     return parser
 

@@ -16,7 +16,7 @@ from operator import add
 from ._value import Value
 from .errors import HowekitError, LimitExceeded
 from .partitions import Partition, MultiPartition, check_weight, involution_I
-from . import weyl
+from . import limits, weyl
 
 
 class DiagramSpec(Value):
@@ -157,14 +157,28 @@ def kostant_partition(roots, beta):
     """Number of ways to write beta as a nonnegative combination of roots.
 
     roots must be distinct positive roots of one C_m (the type A roots
-    e_i - e_j among them); any other list raises ValueError.
+    e_i - e_j among them); any other list raises ValueError.  Before any
+    peel, the shifts of the first coordinate are bounded by the lattice
+    points of the u-dimensional cross-polytope of radius beta_1,
+    sum_k C(u, k) C(beta_1, k) 2^k, u being the number of coordinates they
+    may move; LimitExceeded is raised when that is above enum_cap.
     """
     roots = tuple(tuple(int(x) for x in r) for r in roots)
     beta = tuple(int(x) for x in beta)
     m = len(roots[0]) if roots else len(beta)
     if len(beta) != m:
         raise ValueError("vector length mismatch")
-    return _counter_for(roots, m).count(beta)
+    counter = _counter_for(roots, m)
+    level = counter.levels.get(m)
+    if level and beta[0] > 0:
+        u = sum(map(any, level[0]))
+        shifts = sum(comb(u, k) * comb(beta[0], k) << k for k in range(u + 1))
+        cap = limits.get_cap("enum_cap")
+        if shifts > cap:
+            raise LimitExceeded("kostant count of %r may shift its first "
+                                "coordinate %d ways, above enum_cap %d"
+                                % (beta, shifts, cap))
+    return counter.count(beta)
 
 
 def twisted_partition_C(beta, m):

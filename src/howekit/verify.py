@@ -4,7 +4,12 @@ Every identity in the package is checked by computing both sides through
 independent routes: character products against Kostant-type counts, star
 transport against direct combinatorics, and so on.  Each sweep returns a
 report dict {"cells": N, "failures": [...], "runtime_ms": T}; an empty
-failure list means the identity held on every cell.  The injectivity scan
+failure list means the identity held on every cell.  A duality sweep's
+failure names its cell by "mu" (and "spec" in the generalized sweep) and
+"lam", then either "reason": "unexpected constituent" for a constituent
+outside the compared lams, or the two routes' values: "char_route" and
+"weight_mult" (types A and C) or "branch_route" (generalized).  The
+crystal sweeps name "mu_prime" and a "reason".  The injectivity scan
 is a falsification harness rather than a proof: it searches for distinct
 dominant weights with identical branching vectors and reports whatever it
 finds (expected: nothing).
@@ -85,6 +90,51 @@ def multiplicity_branch_route(lam, symbols, sizes, mu, n):
     return branching_coefficient(kappa_w, spec.reversed(), hat_multi(mu, n))
 
 
+def _compare(dec, lams, other_route, tag, route_key):
+    """The failures of one cell: the constituents of dec outside lams, then
+    each lam where dec[lam] differs from other_route(lams[lam]).  lams
+    maps every compared lam to its weight on the other route; every entry
+    is tag plus the offending lam."""
+    fails = [dict(tag, lam=list(q.stripped()), reason="unexpected constituent")
+             for q in dec if q not in lams]
+    for lam, weight in lams.items():
+        left, right = dec[lam], other_route(weight)
+        if left != right:
+            fails.append(dict(tag, lam=list(lam.stripped()), char_route=left,
+                              **{route_key: right}))
+    return fails
+
+
+def _duality_sweep(family, n, m):
+    """For every mu in the n x m rectangle, compare the expansion of
+    e_{mu'_1}...e_{mu'_m} with Kostant weight multiplicities of rank m:
+    type A at (lam', mu') for the lam of |mu|, type C at (hat(lam),
+    hat(mu)) for every lam in the rectangle."""
+    t0 = time.perf_counter()
+    lams = list(enumerate_rectangle(n, m))
+    cols = {lam: conjugate(lam).padded(m) for lam in lams}
+    weights = cols if family == "A" else {
+        lam: hat(lam, n, m).padded(m) for lam in lams}
+
+    def group(lam):
+        return lam.size() if family == "A" else 0
+
+    compared = {}
+    for lam in lams:
+        compared.setdefault(group(lam), {})[lam] = weights[lam]
+    product = _elem_products(family, n)
+
+    def cell(mu):
+        same = compared[group(mu)]
+        dec = decompose(product(cols[mu]), family, n)
+        mu_w = weights[mu]
+        return len(same), _compare(
+            dec, same, lambda w: weight_multiplicity((family, m), w, mu_w),
+            {"mu": list(mu.stripped())}, "weight_mult")
+
+    return _merge(map(cell, lams), t0)
+
+
 def verify_schur_duality(n, m):
     """Sweep the type A duality over every mu in the n x m rectangle.
 
@@ -92,35 +142,7 @@ def verify_schur_duality(n, m):
     with gl_m Kostant weight multiplicities at (lam', mu'), for every lam
     in the rectangle of the same size.  Exact equality on each cell.
     """
-    t0 = time.perf_counter()
-    lams = list(enumerate_rectangle(n, m))
-    cols = {lam: conjugate(lam).padded(m) for lam in lams}
-    by_size = {}
-    for lam in lams:
-        by_size.setdefault(lam.size(), []).append(lam)
-    product = _elem_products("A", n)
-
-    def cell(mu):
-        fails = []
-        mu_p = cols[mu]
-        dec = decompose(product(mu_p), "A", n)
-        same = by_size[mu.size()]
-        valid = set(same)
-        for q in dec:
-            if q not in valid:
-                fails.append({"mu": list(mu.stripped()),
-                              "lam": list(q.stripped()),
-                              "reason": "unexpected constituent"})
-        for lam in same:
-            left = dec[lam]
-            right = weight_multiplicity(("A", m), cols[lam], mu_p)
-            if left != right:
-                fails.append({"mu": list(mu.stripped()),
-                              "lam": list(lam.stripped()),
-                              "char_route": left, "weight_mult": right})
-        return len(same), fails
-
-    return _merge(map(cell, lams), t0)
+    return _duality_sweep("A", n, m)
 
 
 def verify_howe_duality(n, m):
@@ -130,43 +152,7 @@ def verify_howe_duality(n, m):
     with sp_2m weight multiplicities at (hat(lam), hat(mu)) for every lam
     in the rectangle; constituents outside the rectangle are failures.
     """
-    t0 = time.perf_counter()
-    lams = list(enumerate_rectangle(n, m))
-    rect = set(lams)
-    hats = {lam: hat(lam, n, m) for lam in lams}
-    product = _elem_products("C", n)
-
-    def cell(mu):
-        fails = []
-        dec = decompose(product(conjugate(mu).padded(m)), "C", n)
-        for q in dec:
-            if q not in rect:
-                fails.append({"mu": list(mu.stripped()),
-                              "lam": list(q.stripped()),
-                              "reason": "unexpected constituent"})
-        mu_hat = hats[mu].padded(m)
-        count = 0
-        for lam in lams:
-            count += 1
-            left = dec[lam]
-            right = weight_multiplicity(("C", m), hats[lam], mu_hat)
-            if left != right:
-                fails.append({"mu": list(mu.stripped()),
-                              "lam": list(lam.stripped()),
-                              "char_route": left, "weight_mult": right})
-        return count, fails
-
-    return _merge(map(cell, lams), t0)
-
-
-def _specs_up_to(r_max, size_bound):
-    out = []
-    for r in range(1, r_max + 1):
-        for symbols in itertools.product("AC", repeat=r):
-            for sizes in itertools.product(range(1, size_bound + 1),
-                                           repeat=r):
-                out.append(DiagramSpec(symbols, sizes))
-    return out
+    return _duality_sweep("C", n, m)
 
 
 def verify_generalized_duality(n, r_max, size_bound):
@@ -177,48 +163,39 @@ def verify_generalized_duality(n, r_max, size_bound):
     n x size_j rectangle; each cell compares one (spec, mu, lam) triple.
     """
     t0 = time.perf_counter()
-    specs = _specs_up_to(r_max, size_bound)
+    specs = [DiagramSpec(symbols, sizes) for r in range(1, r_max + 1)
+             for symbols in itertools.product("AC", repeat=r)
+             for sizes in itertools.product(range(1, size_bound + 1),
+                                            repeat=r)]
 
     def cell(spec):
         fails = []
-        count = 0
         m = spec.total()
-        lams = list(enumerate_rectangle(n, m))
-        rect = set(lams)
-        lam_hats = [hat(lam, n, m) for lam in lams]
+        hats = {lam: hat(lam, n, m) for lam in enumerate_rectangle(n, m)}
         rspec = spec.reversed()
         spec_tag = ["".join(spec.symbols), list(spec.sizes)]
         pools = [list(enumerate_rectangle(n, k)) for k in spec.sizes]
-        for comps in itertools.product(*pools):
-            mu = MultiPartition(comps, spec.sizes)
+        mus = [MultiPartition(c, spec.sizes)
+               for c in itertools.product(*pools)]
+        for mu in mus:
             dec = decompose(char_product(mu, spec, n), "C", n)
             nu_hat = hat_multi(mu, n)
-            mu_tag = [list(c.stripped()) for c in comps]
-            for q in dec:
-                if q not in rect:
-                    fails.append({"spec": spec_tag, "mu": mu_tag,
-                                  "lam": list(q.stripped()),
-                                  "reason": "unexpected constituent"})
-            for lam, lam_hat in zip(lams, lam_hats):
-                count += 1
-                left = dec[lam]
-                right = branching_coefficient(lam_hat, rspec, nu_hat)
-                if left != right:
-                    fails.append({"spec": spec_tag, "mu": mu_tag,
-                                  "lam": list(lam.stripped()),
-                                  "char_route": left, "branch_route": right})
-        return count, fails
+            fails += _compare(
+                dec, hats, lambda w: branching_coefficient(w, rspec, nu_hat),
+                {"spec": spec_tag,
+                 "mu": [list(c.stripped()) for c in mu.components]},
+                "branch_route")
+        return len(mus) * len(hats), fails
 
     return _merge(map(cell, specs), t0)
 
 
-def _check_ranks(n, m):
+def _mu_primes(n, m):
+    """The cells of a crystal sweep: every column-height vector mu' of
+    length m with entries <= 2n, after checking both ranks."""
     if n < 1 or m < 1:
         raise HowekitError("rank parameter must be >= 1")
-
-
-def _compositions(m, bound):
-    return list(itertools.product(range(bound + 1), repeat=m))
+    return list(itertools.product(range(2 * n + 1), repeat=m))
 
 
 def verify_bijection(n, m):
@@ -231,7 +208,7 @@ def verify_bijection(n, m):
     mu_prime and lam next to the failure of duality.star_pairing.
     """
     t0 = time.perf_counter()
-    _check_ranks(n, m)
+    keys = _mu_primes(n, m)
     lams = list(enumerate_rectangle(n, m))
     rect = set(lams)
     # per lam: the shape hat(lam) and its King tableaux by weight
@@ -262,7 +239,6 @@ def verify_bijection(n, m):
                                   lam=list(lam.stripped())))
         return count, fails
 
-    keys = _compositions(m, 2 * n)
     return _merge(map(cell, keys), t0)
 
 
@@ -284,7 +260,6 @@ def verify_contraction(n, m):
     """Check that kappa_j removes one (bar k, k) pair and commutes with
     every crystal operator e_i, 0 <= i <= n-1, as partial maps."""
     t0 = time.perf_counter()
-    _check_ranks(n, m)
 
     def cell(mu_prime):
         fails = []
@@ -309,15 +284,13 @@ def verify_contraction(n, m):
                                       "reason": "commutation broken"})
         return count, fails
 
-    keys = _compositions(m, 2 * n)
-    return _merge(map(cell, keys), t0)
+    return _merge(map(cell, _mu_primes(n, m)), t0)
 
 
 def verify_jdt(n, m):
     """Check that the jeu de taquin slides agree with the transported
     barred raising operators on every vertex, as partial maps."""
     t0 = time.perf_counter()
-    _check_ranks(n, m)
 
     def cell(mu_prime):
         fails = []
@@ -333,8 +306,7 @@ def verify_jdt(n, m):
                                   "reason": "slide disagrees with transport"})
         return count, fails
 
-    keys = _compositions(m, 2 * n)
-    return _merge(map(cell, keys), t0)
+    return _merge(map(cell, _mu_primes(n, m)), t0)
 
 
 def _position_classes(spec, parabolic):

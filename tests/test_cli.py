@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from howekit import limits
+from howekit import DiagramSpec, limits
 from howekit.cli import dispatch
 
 
@@ -136,14 +136,38 @@ def test_verify_clean_exit_zero(capsys):
     assert rep["failures"] == []
 
 
-def test_verify_failure_exit_one(capsys, monkeypatch):
+@pytest.mark.parametrize("args, name, want", [
+    pytest.param(["verify-schur", "--n", "1", "--m", "2"],
+                 "verify_schur_duality", (1, 2), id="verify-schur"),
+    pytest.param(["verify-howe", "--n", "1", "--m", "2"],
+                 "verify_howe_duality", (1, 2), id="verify-howe"),
+    pytest.param(["verify-bijection", "--n", "1", "--m", "2"],
+                 "verify_bijection", (1, 2), id="verify-bijection"),
+    pytest.param(["verify-contraction", "--n", "1", "--m", "2"],
+                 "verify_contraction", (1, 2), id="verify-contraction"),
+    pytest.param(["verify-jdt", "--n", "1", "--m", "2"],
+                 "verify_jdt", (1, 2), id="verify-jdt"),
+    pytest.param(["verify-generalized", "--n", "1", "--r", "3"],
+                 "verify_generalized_duality", (1, 3, 2),
+                 id="verify-generalized"),
+    pytest.param(["verify-generalized", "--n", "1", "--r", "3",
+                  "--size-bound", "4"],
+                 "verify_generalized_duality", (1, 3, 4),
+                 id="verify-generalized-size-bound"),
+    pytest.param(["injectivity", "--symbols", "CA", "--sizes", "1,2",
+                  "--part-bound", "3", "--n-bound", "4"],
+                 "injectivity_scan", (DiagramSpec("CA", (1, 2)), 3, 4),
+                 id="injectivity"),
+])
+def test_verify_failure_exit_one(capsys, monkeypatch, args, name, want):
     from howekit import verify as vmod
     bad = {"cells": 1, "failures": [{"lam": [1]}], "runtime_ms": 0}
-    monkeypatch.setattr(vmod, "verify_howe_duality",
-                        lambda n, m: bad)
-    rc, out, _ = run(capsys, ["verify-howe", "--n", "1", "--m", "1"])
+    got = []
+    monkeypatch.setattr(vmod, name, lambda *a: got.append(a) or bad)
+    rc, out, _ = run(capsys, args)
     assert rc == 1
-    assert json.loads(out) == bad
+    assert out == '{"cells":1,"failures":[{"lam":[1]}],"runtime_ms":0}\n'
+    assert got == [want]
 
 
 def test_injectivity_subcommand(capsys):

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used."""
+"""Every module-level import and private helper in the package is used."""
 
 import ast
 import re
@@ -38,6 +38,40 @@ def test_no_unused_imports(path):
     docs = "\n".join(_docstrings(tree))
     unused = [name for name in _imported(tree) if name not in used
               and not re.search(r"\b%s\b" % re.escape(name), docs)]
+    assert unused == []
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names
+                    if n.startswith("_") and not n.startswith("__"))
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_private_helpers_have_callers():
+    # a module-level _name that nothing in the package reads is dead code
+    trees = [ast.parse(p.read_text())
+             for p in Path(howekit.__file__).parent.glob("*.py")]
+    used = {name for tree in trees for name in _references(tree)}
+    unused = [name for tree in trees for name in _private_definitions(tree)
+              if name not in used]
     assert unused == []
 
 

@@ -14,6 +14,7 @@ from howekit import (DiagramSpec, HowekitError, LimitExceeded,
                      kostant_partition, restricted_partition,
                      twisted_partition_C, weight_multiplicity,
                      weyl_character)
+from howekit import limits, partfn
 from howekit.partitions import involution_I
 from howekit.weyl import (MAX_RANK, act, dot_rho, enumerate_weyl,
                           positive_roots, rho, sign)
@@ -79,6 +80,25 @@ def test_kostant_takes_subsets_of_positive_roots_only():
             kostant_partition(roots, (0, 0))
     for beta in ((), (0,), (0, 0, 0), (1,), (0, -1), (2, 0)):
         assert kostant_partition([], beta) == (0 if any(beta) else 1)
+
+
+def test_kostant_shift_bound_raises_before_any_peel(monkeypatch):
+    # the first coordinate of C_2 at (2, 0) shifts by d in -2..2: 5 ways
+    peels = []
+    count = partfn._Counter.count
+    monkeypatch.setattr(partfn._Counter, "count",
+                        lambda self, beta: peels.append(beta)
+                        or count(self, beta))
+    with pytest.raises(LimitExceeded, match=" 40754369 ways, above "
+                       "enum_cap 10000000$"):
+        kostant_partition(positive_roots(("C", 8)), (20,) + (0,) * 7)
+    roots = positive_roots(("C", 2))
+    with limits.overridden({"enum_cap": 4}), pytest.raises(LimitExceeded):
+        kostant_partition(roots, (2, 0))
+    assert peels == []
+    with limits.overridden({"enum_cap": 5}):
+        assert kostant_partition(roots, (2, 0)) == 3
+    assert peels[0] == (2, 0)
 
 
 def test_twisted_is_involution_composed():

@@ -148,3 +148,68 @@ def test_generalized_duality_report():
     rep = verify_generalized_duality(1, 2, 1)
     assert rep["failures"] == []
     assert rep["cells"] > 0
+
+
+def _off_by_one(monkeypatch):
+    from howekit import verify
+    for name in ("weight_multiplicity", "branching_coefficient"):
+        monkeypatch.setattr(verify, name,
+                            lambda *a, f=getattr(verify, name): f(*a) + 1)
+
+
+def _extra_constituents(monkeypatch):
+    # one constituent outside every rectangle, and one more trivial one
+    from howekit import verify
+    from howekit.characters import CharacterDecomposition
+
+    def dec(p, family, n, f=verify.decompose):
+        d = f(p, family, n)
+        return CharacterDecomposition(
+            {**d.mults, Partition((3,)): 1, Partition(()): d[()] + 1})
+    monkeypatch.setattr(verify, "decompose", dec)
+
+
+def _spec_entries(entries):
+    return [dict(e, spec=[s, [1]]) for s in "AC" for e in entries]
+
+
+@pytest.mark.parametrize("patch, sweep, args, want", [
+    (_off_by_one, verify_schur_duality, (1, 1), [
+        {"mu": [], "lam": [], "char_route": 1, "weight_mult": 2},
+        {"mu": [1], "lam": [1], "char_route": 1, "weight_mult": 2}]),
+    (_off_by_one, verify_howe_duality, (1, 1), [
+        {"mu": [], "lam": [], "char_route": 1, "weight_mult": 2},
+        {"mu": [], "lam": [1], "char_route": 0, "weight_mult": 1},
+        {"mu": [1], "lam": [], "char_route": 0, "weight_mult": 1},
+        {"mu": [1], "lam": [1], "char_route": 1, "weight_mult": 2}]),
+    (_off_by_one, verify_generalized_duality, (1, 1, 1), _spec_entries([
+        {"mu": [[]], "lam": [], "char_route": 1, "branch_route": 2},
+        {"mu": [[]], "lam": [1], "char_route": 0, "branch_route": 1},
+        {"mu": [[1]], "lam": [], "char_route": 0, "branch_route": 1},
+        {"mu": [[1]], "lam": [1], "char_route": 1, "branch_route": 2}])),
+    # type A compares only the lam of |mu|, so the trivial constituent of
+    # mu = (1) is unexpected rather than a route mismatch
+    (_extra_constituents, verify_schur_duality, (1, 1), [
+        {"mu": [], "lam": [3], "reason": "unexpected constituent"},
+        {"mu": [], "lam": [], "char_route": 2, "weight_mult": 1},
+        {"mu": [1], "lam": [], "reason": "unexpected constituent"},
+        {"mu": [1], "lam": [3], "reason": "unexpected constituent"}]),
+    (_extra_constituents, verify_howe_duality, (1, 1), [
+        {"mu": [], "lam": [3], "reason": "unexpected constituent"},
+        {"mu": [], "lam": [], "char_route": 2, "weight_mult": 1},
+        {"mu": [1], "lam": [3], "reason": "unexpected constituent"},
+        {"mu": [1], "lam": [], "char_route": 1, "weight_mult": 0}]),
+    (_extra_constituents, verify_generalized_duality, (1, 1, 1),
+     _spec_entries([
+         {"mu": [[]], "lam": [3], "reason": "unexpected constituent"},
+         {"mu": [[]], "lam": [], "char_route": 2, "branch_route": 1},
+         {"mu": [[1]], "lam": [3], "reason": "unexpected constituent"},
+         {"mu": [[1]], "lam": [], "char_route": 1, "branch_route": 0}])),
+], ids=["off-by-one-schur", "off-by-one-howe", "off-by-one-generalized",
+        "extra-schur", "extra-howe", "extra-generalized"])
+def test_duality_failure_entries(monkeypatch, patch, sweep, args, want):
+    cells = sweep(*args)["cells"]
+    patch(monkeypatch)
+    rep = sweep(*args)
+    assert rep["cells"] == cells
+    assert rep["failures"] == want
