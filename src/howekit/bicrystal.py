@@ -21,12 +21,13 @@ from the string lengths of the lowest weight vertex, or equivalently
 from contraction counts delta_j and slide counts gamma_j.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil
 
 from ._value import Value
 from .crystals import TensorElement, _lower, _raise, is_admissible
-from .duality import KingElement, KingEntry, king_weight, star, star_inverse
+from .duality import (KingElement, KingEntry, king_weight, star, star_inverse,
+                      tilde_expand)
 from .errors import HowekitError
 
 
@@ -71,6 +72,12 @@ def king_e(idx, t):
     return _raise(t, reversed(range(len(t.columns))), _king_f_map(idx, t.m))
 
 
+def _transport(op, j, b):
+    # the King operator op(j, .) carried back through the star duality
+    t = op(j, star(b))
+    return None if t is None else star_inverse(t, b.n, len(b.columns))
+
+
 def kappa(j, b):
     """The operator transported from the dual raising operator: the
     contraction of column j for j > 0, the jeu de taquin move for j < 0.
@@ -78,18 +85,12 @@ def kappa(j, b):
     >>> kappa(1, TensorElement([(-4, -3, -2, 3)], 4))
     TensorElement([[-4, -2]], 4)
     """
-    t = king_e(j, star(b))
-    if t is None:
-        return None
-    return star_inverse(t, b.n, len(b.columns))
+    return _transport(king_e, j, b)
 
 
 def dilate(j, b):
     """Inverse of contraction on column j, via the dual lowering operator."""
-    t = king_f(j, star(b))
-    if t is None:
-        return None
-    return star_inverse(t, b.n, len(b.columns))
+    return _transport(king_f, j, b)
 
 
 class BarComplement(Value):
@@ -128,14 +129,11 @@ def bar_complement(b):
     >>> bar_complement(TensorElement([(-3, 1, 5), (-5, -1, 2, 4, 5)], 5)).to_json_obj()
     [[-3], [-4, -3, -2], [-5, -1], [-3, -1]]
     """
+    # cbar_j and cbar_jbar are the negated complements of ctilde_j and
+    # ctilde_jbar
     n = b.n
-    out = []
-    for c in b.columns:
-        barred = tuple(x for x in c if x < 0)
-        unbarred = {x for x in c if x > 0}
-        out.append(barred)
-        out.append(tuple(-x for x in range(n, 0, -1) if x not in unbarred))
-    return BarComplement(out, n)
+    return BarComplement([tuple(-x for x in range(n, 0, -1) if x not in c)
+                          for c in tilde_expand(b)], n)
 
 
 def from_bar_complement(bc):
@@ -200,27 +198,27 @@ def jdt_bar(j, b):
     return from_bar_complement(BarComplement(cols, b.n))
 
 
-def epsilon_string(idx, t):
-    """Length of the raising string through t for the given operator."""
+def _string(op, x):
+    """Apply op until it vanishes: the end of the string and its length."""
     k = 0
     while True:
-        u = king_e(idx, t)
-        if u is None:
-            return k
-        t = u
+        y = op(x)
+        if y is None:
+            return x, k
+        x = y
         k += 1
 
 
+def epsilon_string(idx, t):
+    """Length of the raising string through t for the given operator."""
+    return _string(partial(king_e, idx), t)[1]
+
+
 def to_lowest(t):
-    """Exhaust the unbarred lowering operators (they commute)."""
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, t.m + 1):
-            u = king_f(j, t)
-            if u is not None:
-                t = u
-                changed = True
+    """Exhaust the unbarred lowering operators.  Each acts on its own
+    letters j, jbar only, so one string per operator suffices."""
+    for j in range(1, t.m + 1):
+        t = _string(partial(king_f, j), t)[0]
     return t
 
 
@@ -229,31 +227,24 @@ def delta_count(j, b):
 
     The column must be full (height n): this is the charge context.
     """
+    m = len(b.columns)
+    if not 1 <= j <= m:
+        raise HowekitError("index %d outside 1..%d" % (j, m))
     col = b.columns[j - 1]
     n = b.n
     if len(col) != n:
         raise HowekitError("column %d has height %d, expected %d"
                            % (j, len(col), n))
-    cur = TensorElement([col], n)
-    while True:
-        nxt = kappa(1, cur)
-        if nxt is None:
-            break
-        cur = nxt
-    h = len(cur.columns[0])
+    cur = _string(partial(kappa, 1), TensorElement([col], n))[0]
     if not is_admissible(cur.columns[0], n):
         raise HowekitError("contraction did not reach an admissible column")
-    return n - h
+    return n - len(cur.columns[0])
 
 
 def dilate_fully(b):
     """Dilate every column recursively as much as possible."""
     for j in range(1, len(b.columns) + 1):
-        while True:
-            nxt = dilate(j, b)
-            if nxt is None:
-                break
-            b = nxt
+        b = _string(partial(dilate, j), b)[0]
     return b
 
 

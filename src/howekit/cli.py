@@ -26,8 +26,8 @@ import sys
 from functools import cache
 from operator import attrgetter
 
-from . import limits, verify, weyl
-from .bicrystal import charge_king, jdt_bar, kappa, statistics
+from . import bicrystal, limits, verify, weyl
+from .bicrystal import charge_king, statistics
 from .characters import char_product, decompose, weyl_character
 from .crystals import TensorElement, generate_crystal_graph
 from .duality import (KingElement, KingEntry, is_king_tableau, king_weight,
@@ -213,18 +213,16 @@ def _cmd_king_check(ns):
     return 0
 
 
-def _cmd_kappa(ns):
-    b = _parse_element(ns.element, ns.n)
-    result = kappa(ns.j, b)
-    _emit(None if result is None else result.to_json_obj())
-    return 0
-
-
-def _cmd_jdt(ns):
-    b = _parse_element(ns.element, ns.n)
-    result = jdt_bar(ns.j, b)
-    _emit(None if result is None else result.to_json_obj())
-    return 0
+def _element_op(name):
+    """The handler of an operator subcommand: bicrystal.<name>(j, element),
+    printed as null when it vanishes; looked up when the command runs, as
+    in _sweep."""
+    def handler(ns):
+        b = _parse_element(ns.element, ns.n)
+        result = getattr(bicrystal, name)(ns.j, b)
+        _emit(None if result is None else result.to_json_obj())
+        return 0
+    return handler
 
 
 def _cmd_charge(ns):
@@ -321,10 +319,11 @@ def _build_parser():
         inverse={"action": "store_true"})
     add("king-check", _cmd_king_check, "test the King tableau property",
         element=req_str, m=req_int)
-    add("kappa", _cmd_kappa, "contraction of column j (j < 0 for the "
-        "barred transported operator)",
+    add("kappa", _element_op("kappa"), "contraction of column j (j < 0 for "
+        "the barred transported operator)",
         element=req_str, n=req_int, j=req_int)
-    add("jdt", _cmd_jdt, "jeu de taquin slide on the bar complement",
+    add("jdt", _element_op("jdt_bar"), "jeu de taquin slide on the bar "
+        "complement",
         element=req_str, n=req_int, j=req_int)
     add("charge", _cmd_charge, "charge of a King tableau, or the D "
         "statistics of an element",

@@ -20,7 +20,7 @@ crystal of the bicrystal module runs on the same routine.
 
 import json
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 
 from ._value import Value
@@ -76,7 +76,7 @@ class TensorElement(Value):
         return tuple(len(c) for c in self.columns)
 
     def replace(self, j, column):
-        """A copy with column j replaced (used by the operators)."""
+        """A copy with column j replaced, its entries validated."""
         cols = list(self.columns)
         cols[j] = column
         return TensorElement(cols, self.n)
@@ -237,11 +237,6 @@ def is_coadmissible(c, n):
     return True
 
 
-def _columns_of_height(h, n):
-    alphabet = [x for x in range(-n, n + 1) if x != 0]
-    return list(combinations(alphabet, h))
-
-
 def _checked_heights(mu_prime, n):
     """The column heights of B_{mu'}, each in 0..2n, under enum_cap."""
     heights = tuple(int(h) for h in mu_prime)
@@ -264,15 +259,9 @@ def enumerate_B(mu_prime, n):
     4
     """
     heights = _checked_heights(mu_prime, n)
-
-    def rec(j, acc):
-        if j == len(heights):
-            yield TensorElement(acc, n)
-            return
-        for col in _columns_of_height(heights[j], n):
-            yield from rec(j + 1, acc + [col])
-
-    yield from rec(0, [])
+    alphabet = [x for x in range(-n, n + 1) if x != 0]
+    for cols in product(*(combinations(alphabet, h) for h in heights)):
+        yield TensorElement(cols, n)
 
 
 def _highest_weight_elements(mu_prime, n):

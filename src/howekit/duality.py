@@ -216,26 +216,24 @@ def king_weight(t):
     return tuple(a[t.m - k] for k in range(t.m))
 
 
-def _rows(columns):
-    if not columns:
-        return []
-    depth = max(len(c) for c in columns)
-    return [[c[r] for c in columns if len(c) > r] for r in range(depth)]
+_order = attrgetter("value", "barred")
+
+
+def _rows_increase(cols):
+    # columns of weakly decreasing heights: row r of each column sits
+    # beside row r of the next; (value, barred) pairs sort as the keys do
+    for left, right in zip(cols, cols[1:]):
+        for a, b in zip(left, right):
+            if _order(a) > _order(b):
+                return False
+    return True
 
 
 def is_semistandard(t):
     """Rows weakly increasing across the columns taken in tensor order."""
     heights = t.heights()
-    if any(a < b for a, b in zip(heights, heights[1:])):
-        return False
-    for row in _rows(t.columns):
-        for a, b in zip(row, row[1:]):
-            if not a <= b:
-                return False
-    return True
-
-
-_order = attrgetter("value", "barred")
+    return (all(a >= b for a, b in zip(heights, heights[1:]))
+            and _rows_increase(t.columns))
 
 
 def is_king_tableau(t):
@@ -256,14 +254,10 @@ def is_king_tableau(t):
                                % (heights,))
     cols = t.columns
     # rows weakly increase from the first column, so its row-j entry is
-    # the least of row j; (value, barred) pairs sort as the keys do
+    # the least of row j
     if cols and any(e.value < r for r, e in enumerate(cols[0], start=1)):
         return False
-    for left, right in zip(cols, cols[1:]):
-        for a, b in zip(left, right):
-            if _order(a) > _order(b):
-                return False
-    return True
+    return _rows_increase(cols)
 
 
 def king_tableaux_by_weight(shape, m, n=None):
@@ -286,6 +280,8 @@ def king_tableaux_by_weight(shape, m, n=None):
         n = width
     if width > n:
         raise HowekitError("shape %r is wider than %d columns" % (shape, n))
+    if m < 1:
+        raise HowekitError("alphabet rank must be positive")
     guard = prod(comb(2 * m, h) for h in heights)
     if guard > get_cap("enum_cap"):
         raise LimitExceeded("King enumeration size %d exceeds cap" % guard)

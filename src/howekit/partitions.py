@@ -231,24 +231,15 @@ def enumerate_rectangle(n, m):
     if n < 0 or m < 0:
         raise ValueError("rectangle bounds must be nonnegative")
 
+    # lexicographic order on stripped tuples: each prefix comes before
+    # its extensions, and these go by their next part
     def gen(prefix, rows_left, first_max):
-        yield Partition(tuple(prefix))
-        if rows_left == 0:
-            return
-        for part in range(1, first_max + 1):
-            prefix.append(part)
-            yield from gen(prefix, rows_left - 1, part)
-            prefix.pop()
+        yield Partition(prefix)
+        if rows_left:
+            for part in range(1, first_max + 1):
+                yield from gen(prefix + (part,), rows_left - 1, part)
 
-    # lexicographic order on stripped tuples: () first, then by first part
-    def emit():
-        yield Partition(())
-        for first in range(1, m + 1):
-            if n == 0:
-                return
-            yield from gen([first], n - 1, first)
-
-    return emit()
+    return gen((), n, m)
 
 
 def check_weight(w, m=None):

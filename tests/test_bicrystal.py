@@ -148,6 +148,13 @@ def test_delta_count_is_height_defect():
         delta_count(1, T([(-2,)], 2))
 
 
+def test_delta_count_rejects_column_indices_outside_range():
+    b = T([(-2, -1), (1, 2)], 2)
+    for j in (0, -1, 3):
+        with pytest.raises(HowekitError, match="index %d outside 1..2" % j):
+            delta_count(j, b)
+
+
 def test_charge_and_D_agree_on_weight_zero():
     n, m = 2, 2
     zero = Partition(()).padded(n)

@@ -89,6 +89,9 @@ def test_enumerate_B_counts():
         got = all_elements(mu_p, n)
         assert len(got) == want
         assert len(set(got)) == want
+        # lex order: columns left to right, each column's letters in order
+        assert [b.columns for b in got] == sorted(b.columns for b in got)
+    assert all_elements((), 2) == [TensorElement([], 2)]
 
 
 def test_highest_weight_vertices_weights():

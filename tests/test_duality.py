@@ -108,6 +108,18 @@ def test_king_tableau_judgments():
     assert is_king_tableau(jag)
 
 
+def test_semistandard_rejects_what_is_not_a_tableau():
+    # increasing heights: not semistandard, and not a tableau at all
+    grown = K([[(1, False)], [(1, False), (2, False)]], 2)
+    assert not is_semistandard(grown)
+    with pytest.raises(MalformedTableau):
+        is_king_tableau(grown)
+    # row 1 weakly increases, row 2 does not (2b then 2)
+    low = K([[(1, False), (2, True)], [(1, False), (2, False)]], 2)
+    assert not is_semistandard(low)
+    assert not is_king_tableau(low)
+
+
 def test_king_weight_counts_entries():
     t = K([[(1, False), (2, True)], [(1, True)]], 2)
     # one 1 and one 1b cancel; a single 2b remains
@@ -201,6 +213,17 @@ def test_king_enumerations_check_cap():
             enumerate_king_tableaux(shape, (1, 2), 2)
     with limits.overridden({"enum_cap": 24}):
         assert len(enumerate_king_tableaux(shape, (1, 2), 2)) == 1
+
+
+def test_king_enumeration_rejects_rank_zero():
+    # the same error as KingElement([], 0), which the table would hold
+    message = "alphabet rank must be positive"
+    with pytest.raises(HowekitError, match=message):
+        KingElement([], 0)
+    with pytest.raises(HowekitError, match=message):
+        king_tableaux_by_weight(Partition(()), 0)
+    with pytest.raises(HowekitError, match=message):
+        enumerate_king_tableaux(Partition(()), (), 0)
 
 
 def test_king_count_is_weight_multiplicity():
