@@ -21,7 +21,6 @@ subcommand is accepted too.
 
 import argparse
 import json
-import re
 import sys
 from functools import cache
 from operator import attrgetter
@@ -255,8 +254,9 @@ def _sweep(name, args=attrgetter("n", "m")):
 
 @cache
 def _build_parser():
-    # built once per process: parse_args returns a fresh Namespace on every
-    # call and no handler touches the parser, so no state outlives a call
+    """The top-level parser and its table of subcommand parsers by name."""
+    # built once per process: parsing returns a fresh Namespace on every
+    # call and no handler touches a parser, so no state outlives a call
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="key=value file overriding size caps for "
@@ -352,7 +352,7 @@ def _build_parser():
             ns.part_bound, ns.n_bound)),
         "scan for distinct weights with equal branching vectors",
         symbols=req_str, sizes=req_str, part_bound=req_int, n_bound=req_int)
-    return parser
+    return parser, sub.choices
 
 
 def _glue_negative_values(argv):
@@ -361,9 +361,11 @@ def _glue_negative_values(argv):
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (tok.startswith("--") and "=" not in tok and i + 1 < len(argv)
-                and re.match(r"-\d", argv[i + 1])):
-            out.append(tok + "=" + argv[i + 1])
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        # the test re.match(r"-\d", nxt) makes, without a regex per token
+        if (tok.startswith("--") and "=" not in tok and nxt[:1] == "-"
+                and nxt[1:2].isdecimal()):
+            out.append(tok + "=" + nxt)
             i += 2
         else:
             out.append(tok)
@@ -372,9 +374,18 @@ def _glue_negative_values(argv):
 
 
 def dispatch(argv):
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
+    argv = _glue_negative_values(list(argv))
     try:
-        ns = parser.parse_args(_glue_negative_values(list(argv)))
+        if argv and argv[0] in subparsers:
+            # the full parser would hand argv[1:] to this parser; calling it
+            # directly spares sorting every token twice
+            ns, extras = subparsers[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: %s" % " ".join(extras))
+            ns.command = argv[0]
+        else:
+            ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -15,8 +15,9 @@ _DEFAULTS = {
     # maximum number of vertices generate_crystal_graph will visit
     "vertex_cap": 1_000_000,
     # maximum number of elements an enumeration (crystal spaces, tableaux) may
-    # yield, of letter subsets an elementary symmetric polynomial may sum, and
-    # of first-coordinate shifts a Kostant partition count may try
+    # yield, of letter subsets an elementary symmetric polynomial may sum, of
+    # first-coordinate shifts a Kostant partition count may try, and of the
+    # items in each list a verification sweep builds
     "enum_cap": 10_000_000,
     # maximum number of constituents (peeling steps) decompose() reads off;
     # exact division needs no cap, its quotient's box bounds the loop

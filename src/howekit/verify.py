@@ -17,6 +17,8 @@ finds (expected: nothing).
 
 import itertools
 import time
+from math import prod
+from operator import mul
 
 from . import limits
 from .bicrystal import jdt_bar, kappa
@@ -45,6 +47,40 @@ def _merge(results, t0):
         cells += c
         failures.extend(fails)
     return _report(cells, failures, t0)
+
+
+def _checked_count(counts, what):
+    """The number of items, named by what, that a sweep is about to list,
+    after checking it against enum_cap.  counts yields nondecreasing lower
+    bounds of that number, the last being the number itself; it is read
+    only until a bound passes the cap, so no huge number is ever built."""
+    cap = limits.get_cap("enum_cap")
+    count = 0
+    for count in counts:
+        if count > cap:
+            raise LimitExceeded("sweep would list more than enum_cap %d %s"
+                                % (cap, what))
+    return count
+
+
+def _rectangle_size(n, m):
+    """C(n+m, n) for n, m >= 0, checked against enum_cap: the number of
+    partitions in the n x m rectangle."""
+    k, top = min(n, m), max(n, m)
+    # C(top+i, i) for i = 0..k
+    return _checked_count(
+        itertools.accumulate(range(1, k + 1),
+                             lambda c, i: c * (top + i) // i, initial=1),
+        "partitions of the %d x %d rectangle" % (n, m))
+
+
+def _rectangle(n, m):
+    """The partitions of the n x m rectangle as a list, built after their
+    number is checked (negative bounds are left to enumerate_rectangle to
+    reject)."""
+    if n >= 0 and m >= 0:
+        _rectangle_size(n, m)
+    return list(enumerate_rectangle(n, m))
 
 
 def _coerce_multi(mu, sizes):
@@ -111,7 +147,7 @@ def _duality_sweep(family, n, m):
     type A at (lam', mu') for the lam of |mu|, type C at (hat(lam),
     hat(mu)) for every lam in the rectangle."""
     t0 = time.perf_counter()
-    lams = list(enumerate_rectangle(n, m))
+    lams = _rectangle(n, m)
     cols = {lam: conjugate(lam).padded(m) for lam in lams}
     weights = cols if family == "A" else {
         lam: hat(lam, n, m).padded(m) for lam in lams}
@@ -163,6 +199,11 @@ def verify_generalized_duality(n, r_max, size_bound):
     n x size_j rectangle; each cell compares one (spec, mu, lam) triple.
     """
     t0 = time.perf_counter()
+    # (2 size_bound)^r specs of r blocks, summed over r <= r_max
+    per_block = 2 * max(size_bound, 0)
+    _checked_count(itertools.accumulate(itertools.accumulate(
+        itertools.repeat(per_block, r_max if per_block else 0), mul)),
+        "block shapes")
     specs = [DiagramSpec(symbols, sizes) for r in range(1, r_max + 1)
              for symbols in itertools.product("AC", repeat=r)
              for sizes in itertools.product(range(1, size_bound + 1),
@@ -171,10 +212,12 @@ def verify_generalized_duality(n, r_max, size_bound):
     def cell(spec):
         fails = []
         m = spec.total()
-        hats = {lam: hat(lam, n, m) for lam in enumerate_rectangle(n, m)}
+        hats = {lam: hat(lam, n, m) for lam in _rectangle(n, m)}
         rspec = spec.reversed()
         spec_tag = ["".join(spec.symbols), list(spec.sizes)]
-        pools = [list(enumerate_rectangle(n, k)) for k in spec.sizes]
+        pools = [_rectangle(n, k) for k in spec.sizes]
+        _checked_count(itertools.accumulate(map(len, pools), mul),
+                       "multipartitions")
         mus = [MultiPartition(c, spec.sizes)
                for c in itertools.product(*pools)]
         for mu in mus:
@@ -192,9 +235,12 @@ def verify_generalized_duality(n, r_max, size_bound):
 
 def _mu_primes(n, m):
     """The cells of a crystal sweep: every column-height vector mu' of
-    length m with entries <= 2n, after checking both ranks."""
+    length m with entries <= 2n, after checking both ranks and then their
+    number (2n+1)^m against enum_cap."""
     if n < 1 or m < 1:
         raise HowekitError("rank parameter must be >= 1")
+    _checked_count(itertools.accumulate(itertools.repeat(2 * n + 1, m), mul),
+                   "column-height vectors")
     return list(itertools.product(range(2 * n + 1), repeat=m))
 
 
@@ -209,7 +255,7 @@ def verify_bijection(n, m):
     """
     t0 = time.perf_counter()
     keys = _mu_primes(n, m)
-    lams = list(enumerate_rectangle(n, m))
+    lams = _rectangle(n, m)
     rect = set(lams)
     # per lam: the shape hat(lam) and its King tableaux by weight
     kings = []
@@ -346,13 +392,13 @@ def injectivity_scan(spec, part_bound, n_bound):
             % (spec.symbols,))
     hspec = spec.reversed()
     m = hspec.total()
-    kappas = list(enumerate_rectangle(m, n_bound))
-    pools = [list(enumerate_rectangle(k, part_bound)) for k in hspec.sizes]
-    total = len(kappas)
-    for p in pools:
-        total *= len(p)
-    if total > limits.get_cap("enum_cap"):
-        raise LimitExceeded("injectivity scan size %d exceeds enum_cap" % total)
+    rects = [(m, n_bound)] + [(k, part_bound) for k in hspec.sizes]
+    if n_bound >= 0 and part_bound >= 0:
+        total = prod(_rectangle_size(a, b) for a, b in rects)
+        if total > limits.get_cap("enum_cap"):
+            raise LimitExceeded("injectivity scan size %d exceeds enum_cap"
+                                % total)
+    kappas, *pools = (list(enumerate_rectangle(a, b)) for a, b in rects)
 
     classes = _position_classes(hspec, parabolic)
     reps = {}

@@ -1,5 +1,6 @@
 """Command line round trips, exit codes, and cap plumbing."""
 
+import hashlib
 import io
 import json
 import re
@@ -193,6 +194,110 @@ def test_bad_value_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
+
+
+USAGE = "usage: howekit [-h] SUBCOMMAND ...\nhowekit: error: "
+HAT_USAGE = ("usage: howekit hat [-h] [--config CONFIG] --partition "
+             "PARTITION --n N --m M\nhowekit hat: error: ")
+KOSTANT_USAGE = ("usage: howekit kostant [-h] [--config CONFIG] --family "
+                 "FAMILY --m M --beta\n                       BETA "
+                 "[--twisted]\n")
+CHOICES = ("'hat', 'conjugate', 'kostant', 'weight-mult', 'branch', "
+           "'character', 'decompose', 'product', 'crystal-graph', 'star', "
+           "'king-check', 'kappa', 'jdt', 'charge', 'verify-schur', "
+           "'verify-howe', 'verify-bijection', 'verify-contraction', "
+           "'verify-jdt', 'verify-generalized', 'injectivity'")
+KOSTANT = ["kostant", "--family", "C", "--m", "2", "--beta", "2,0"]
+HAT = ["hat", "--partition", "5,4,2,1", "--n", "4", "--m", "5"]
+
+
+def invalid_choice(word):
+    return (USAGE + "argument SUBCOMMAND: invalid choice: '%s' (choose from "
+            "%s)\n" % (word, CHOICES))
+
+
+# (rc, stdout, stderr) of each call, as the full parser gave them before a
+# call naming a subcommand went to that subcommand's parser alone
+@pytest.mark.parametrize("argv, want", [
+    ([], (2, "", USAGE + "the following arguments are required: "
+          "SUBCOMMAND\n")),
+    (["bogus"], (2, "", invalid_choice("bogus"))),
+    (["kost"] + KOSTANT[1:], (2, "", invalid_choice("kost"))),
+    (["--m", "x"], (2, "", invalid_choice("x"))),
+    (["--config", "x", "hat"], (2, "", invalid_choice("x"))),
+    (["--"] + HAT, (2, "", invalid_choice("--"))),
+    (HAT + ["--", "x"], (2, "", USAGE + "unrecognized arguments: -- x\n")),
+    (KOSTANT + ["--bogus", "1"],
+     (2, "", USAGE + "unrecognized arguments: --bogus 1\n")),
+    (KOSTANT + ["extra"], (2, "", USAGE + "unrecognized arguments: extra\n")),
+    (["hat", "x"], (2, "", HAT_USAGE + "the following arguments are "
+                    "required: --partition, --n, --m\n")),
+    (HAT[:-2], (2, "", HAT_USAGE + "the following arguments are required: "
+                "--m\n")),
+    (["hat", "--m", "x", "--partition", "1", "--n", "1"],
+     (2, "", HAT_USAGE + "argument --m: invalid int value: 'x'\n")),
+    (HAT, (0, "[3,2,2,1,0]\n", "")),
+    (["kostant", "--fam", "C", "--m", "2", "--beta", "2,0"], (0, "3\n", "")),
+    (KOSTANT[:-1] + ["-1,2"], (0, "0\n", "")),
+    (KOSTANT[:-1] + ["-x"], (2, "", KOSTANT_USAGE + "howekit kostant: "
+                             "error: argument --beta: expected one "
+                             "argument\n")),
+    # U+0663 ARABIC-INDIC DIGIT THREE: a decimal digit, so it is glued and
+    # int() reads it as 3
+    (["kostant", "--family", "C", "--m", "1", "--beta", "-٣"],
+     (0, "0\n", "")),
+    # U+00B2 SUPERSCRIPT TWO is a digit but not a decimal one: not glued
+    (KOSTANT[:-1] + ["-²"], (2, "", KOSTANT_USAGE + "howekit kostant: "
+                             "error: argument --beta: expected one "
+                             "argument\n")),
+    (["kostant", "-h"], (0, KOSTANT_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  key=value file overriding size caps for this command
+  --family FAMILY
+  --m M
+  --beta BETA
+  --twisted        type C count twisted by the sign of the long roots
+""", "")),
+    (["verify-bijection", "--help"], (0, """\
+usage: howekit verify-bijection [-h] [--config CONFIG] --n N --m M
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  key=value file overriding size caps for this command
+  --n N
+  --m M
+""", "")),
+])
+def test_direct_parse_matches_full_parser(capsys, monkeypatch, argv, want):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this
+    assert run(capsys, argv) == want
+
+
+def test_top_level_help_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["-h"], ["--help"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert digest == "a344715a2966cdaa"
+
+
+def test_subcommand_call_skips_the_top_level_parse(capsys, monkeypatch):
+    from howekit import cli
+    parser, _ = cli._build_parser()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return type(parser).parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setitem(vars(parser), "parse_known_args", counting)
+    assert run(capsys, HAT) == (0, "[3,2,2,1,0]\n", "")
+    assert run(capsys, KOSTANT + ["extra"])[0] == 2
+    assert calls == []
+    assert run(capsys, ["bogus"])[0] == 2
+    assert len(calls) == 1
 
 
 def test_config_cap_trips(capsys, tmp_path):

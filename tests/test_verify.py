@@ -1,15 +1,18 @@
 """End-to-end sweep drivers and the injectivity scanner."""
 
+import itertools
+
 import pytest
 
 from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
-                     MultiPartition, Partition, branching_coefficient,
-                     conjugate, decompose, elem_sym, enumerate_king_tableaux,
-                     enumerate_rectangle, hat, injectivity_scan,
-                     multiplicity_branch_route, multiplicity_char_route,
-                     verify_bijection, verify_contraction,
-                     verify_generalized_duality, verify_howe_duality,
-                     verify_jdt, verify_schur_duality, weight_multiplicity)
+                     LimitExceeded, MultiPartition, Partition,
+                     branching_coefficient, conjugate, decompose, elem_sym,
+                     enumerate_king_tableaux, enumerate_rectangle, hat,
+                     injectivity_scan, limits, multiplicity_branch_route,
+                     multiplicity_char_route, verify_bijection,
+                     verify_contraction, verify_generalized_duality,
+                     verify_howe_duality, verify_jdt, verify_schur_duality,
+                     weight_multiplicity)
 
 
 def test_report_shape():
@@ -213,3 +216,57 @@ def test_duality_failure_entries(monkeypatch, patch, sweep, args, want):
     rep = sweep(*args)
     assert rep["cells"] == cells
     assert rep["failures"] == want
+
+
+@pytest.mark.parametrize("sweep, args, error, message", [
+    # (2n+1)^m column-height vectors: 5^3 = 125, 3^4 = 81
+    (verify_bijection, (2, 3), LimitExceeded,
+     "sweep would list more than enum_cap 50 column-height vectors"),
+    (verify_contraction, (1, 4), LimitExceeded,
+     "sweep would list more than enum_cap 50 column-height vectors"),
+    (verify_jdt, (1, 4), LimitExceeded,
+     "sweep would list more than enum_cap 50 column-height vectors"),
+    # the rank check comes first, whatever the size
+    (verify_contraction, (0, 10 ** 9), HowekitError,
+     "rank parameter must be >= 1"),
+    # C(8, 4) = 70 partitions of the rectangle
+    (verify_schur_duality, (4, 4), LimitExceeded,
+     "sweep would list more than enum_cap 50 partitions of the 4 x 4 "
+     "rectangle"),
+    (verify_howe_duality, (4, 4), LimitExceeded,
+     "sweep would list more than enum_cap 50 partitions of the 4 x 4 "
+     "rectangle"),
+    # 4 + 16 + 64 = 84 block shapes
+    (verify_generalized_duality, (1, 3, 2), LimitExceeded,
+     "sweep would list more than enum_cap 50 block shapes"),
+    # C(2+3, 2) * C(1+3, 1) * C(1+3, 1) = 160 cells
+    (injectivity_scan, (DiagramSpec("CC", (1, 1)), 3, 3), LimitExceeded,
+     "injectivity scan size 160 exceeds enum_cap"),
+], ids=["bijection", "contraction", "jdt", "rank-first", "schur", "howe",
+        "generalized", "injectivity"])
+def test_sweeps_check_sizes_before_listing(monkeypatch, sweep, args, error,
+                                           message):
+    from howekit import verify
+
+    def listing(*args, **kwargs):
+        raise AssertionError("listed before the size check")
+    monkeypatch.setattr(verify, "enumerate_rectangle", listing)
+    monkeypatch.setattr(itertools, "product", listing)
+    with limits.overridden({"enum_cap": 50}):
+        with pytest.raises(HowekitError) as info:
+            sweep(*args)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("args, cap, what", [
+    # 2 block shapes, each over the 6 x 1 rectangle: C(7, 1) = 7
+    ((6, 1, 1), 5, "partitions of the 6 x 1 rectangle"),
+    # 14 block shapes; one of 3 blocks has 3^3 = 27 multipartitions
+    ((2, 3, 1), 20, "multipartitions"),
+])
+def test_generalized_checks_each_block_shape(args, cap, what):
+    with limits.overridden({"enum_cap": cap}):
+        with pytest.raises(LimitExceeded) as info:
+            verify_generalized_duality(*args)
+    assert str(info.value) == ("sweep would list more than enum_cap %d %s"
+                               % (cap, what))
