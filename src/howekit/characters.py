@@ -241,9 +241,7 @@ def _alternant(v, family):
 
 @lru_cache(maxsize=None)
 def _weyl_character_cached(lam, family, rank):
-    if rank > weyl.MAX_RANK[family]:
-        raise LimitExceeded("rank %d above enumeration cap for type %s"
-                            % (rank, family))
+    weyl.check_rank((family, rank))
     r = weyl.rho((family, rank))
     return _alternant(tuple(map(add, lam, r)), family).exact_div(
         _alternant(r, family))

@@ -62,6 +62,11 @@ def _parse_symbols(text):
     return tuple(text.replace(",", "").strip().upper())
 
 
+def _spec(ns):
+    """The DiagramSpec of the --symbols and --sizes options."""
+    return DiagramSpec(_parse_symbols(ns.symbols), _parse_ints(ns.sizes))
+
+
 def _json_columns(text, kind):
     """A JSON list of columns, each a list of entries of type kind."""
     cols = json.loads(text)
@@ -109,17 +114,16 @@ def _read_config(path):
 
 
 # -- handlers ---------------------------------------------------------------
+# A handler prints its result; it returns an exit code only when not 0.
 
 
 def _cmd_hat(ns):
     _emit(list(hat(Partition(_parse_ints(ns.partition)), ns.n, ns.m)
                .padded(ns.m)))
-    return 0
 
 
 def _cmd_conjugate(ns):
     _emit(list(conjugate(Partition(_parse_ints(ns.partition))).stripped()))
-    return 0
 
 
 def _cmd_kostant(ns):
@@ -131,29 +135,23 @@ def _cmd_kostant(ns):
         _emit(twisted_partition_C(beta, m))
     else:
         _emit(kostant_partition(weyl.positive_roots((fam, m)), beta))
-    return 0
 
 
 def _cmd_weight_mult(ns):
     _emit(weight_multiplicity((ns.family, ns.m),
                               Partition(_parse_ints(ns.lam)),
                               _parse_ints(ns.mu)))
-    return 0
 
 
 def _cmd_branch(ns):
-    symbols = _parse_symbols(ns.symbols)
-    sizes = _parse_ints(ns.sizes)
-    spec = DiagramSpec(symbols, sizes)
-    nu = MultiPartition(_parse_multi(ns.nu), sizes)
+    spec = _spec(ns)
+    nu = MultiPartition(_parse_multi(ns.nu), spec.sizes)
     _emit(branching_coefficient(Partition(_parse_ints(ns.kappa)), spec, nu))
-    return 0
 
 
 def _cmd_character(ns):
     p = weyl_character(Partition(_parse_ints(ns.lam)), ns.family, ns.n)
     _emit(p.to_json_obj())
-    return 0
 
 
 def _cmd_decompose(ns):
@@ -170,16 +168,12 @@ def _cmd_decompose(ns):
                          '"coef": int} terms')
     p = LaurentPolynomial.from_json_obj(obj, ns.n)
     _emit(decompose(p, ns.family, ns.n).to_json_obj())
-    return 0
 
 
 def _cmd_product(ns):
-    symbols = _parse_symbols(ns.symbols)
-    sizes = _parse_ints(ns.sizes)
-    spec = DiagramSpec(symbols, sizes)
-    mu = MultiPartition(_parse_multi(ns.mu), sizes)
+    spec = _spec(ns)
+    mu = MultiPartition(_parse_multi(ns.mu), spec.sizes)
     _emit(char_product(mu, spec, ns.n).to_json_obj())
-    return 0
 
 
 def _cmd_crystal_graph(ns):
@@ -190,7 +184,6 @@ def _cmd_crystal_graph(ns):
         print(graph.to_dot())
     else:
         _emit(graph.to_json_obj())
-    return 0
 
 
 def _cmd_star(ns):
@@ -201,7 +194,6 @@ def _cmd_star(ns):
         _emit(star_inverse(t, ns.n, ns.m).to_json_obj())
     else:
         _emit(star(_parse_element(ns.element, ns.n)).to_json_obj())
-    return 0
 
 
 def _cmd_king_check(ns):
@@ -209,7 +201,6 @@ def _cmd_king_check(ns):
     _emit({"king": is_king_tableau(t),
            "shape": list(t.shape().stripped()),
            "weight": list(king_weight(t))})
-    return 0
 
 
 def _element_op(name):
@@ -220,7 +211,6 @@ def _element_op(name):
         b = _parse_element(ns.element, ns.n)
         result = getattr(bicrystal, name)(ns.j, b)
         _emit(None if result is None else result.to_json_obj())
-        return 0
     return handler
 
 
@@ -235,7 +225,6 @@ def _cmd_charge(ns):
         if ns.n is None:
             raise ValueError("charge --element needs --n")
         _emit(statistics(_parse_element(ns.element, ns.n)))
-    return 0
 
 
 def _sweep(name, args=attrgetter("n", "m")):
@@ -245,7 +234,8 @@ def _sweep(name, args=attrgetter("n", "m")):
     def handler(ns):
         rep = getattr(verify, name)(*args(ns))
         _emit(rep)
-        return 1 if rep["failures"] else 0
+        if rep["failures"]:
+            return 1
     return handler
 
 
@@ -347,9 +337,8 @@ def _build_parser():
         n=req_int, r=req_int,
         size_bound={"type": int, "default": 2})
     add("injectivity",
-        _sweep("injectivity_scan", lambda ns: (
-            DiagramSpec(_parse_symbols(ns.symbols), _parse_ints(ns.sizes)),
-            ns.part_bound, ns.n_bound)),
+        _sweep("injectivity_scan",
+               lambda ns: (_spec(ns), ns.part_bound, ns.n_bound)),
         "scan for distinct weights with equal branching vectors",
         symbols=req_str, sizes=req_str, part_bound=req_int, n_bound=req_int)
     return parser, sub.choices
@@ -391,7 +380,7 @@ def dispatch(argv):
     try:
         caps = _read_config(ns.config) if ns.config else {}
         with limits.overridden(caps):
-            return ns.handler(ns)
+            return ns.handler(ns) or 0
     except (HowekitError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

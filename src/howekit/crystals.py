@@ -22,6 +22,7 @@ import json
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
+from operator import gt
 
 from ._value import Value
 from .errors import HowekitError, LimitExceeded
@@ -183,13 +184,6 @@ def weight_of(b):
     return tuple(a[b.n - k] for k in range(b.n))
 
 
-def _is_partition_vector(a):
-    for u, v in zip(a, a[1:]):
-        if u < v:
-            return False
-    return a[-1] >= 0 if a else True
-
-
 def is_highest_weight(b):
     """Whether every prefix of the reading word has partition weight.
 
@@ -200,15 +194,15 @@ def is_highest_weight(b):
     >>> is_highest_weight(TensorElement([(1,)], 2))
     False
     """
-    n = b.n
-    a = [0] * (n + 1)
+    # a[i] = #(-i) - #(i) for the word so far; the sentinel a[0] = 0
+    # makes a_1 >= 0 one more neighbour comparison
+    a = [0] * (b.n + 1)
     for x in b.word():
         if x < 0:
             a[-x] += 1
         else:
             a[x] -= 1
-        prefix = [a[n - k] for k in range(n)]
-        if not _is_partition_vector(prefix):
+        if any(map(gt, a, a[1:])):
             return False
     return True
 
@@ -392,10 +386,8 @@ def generate_crystal_graph(seed, ops=None):
     index = {seed: 0}
     vertices = [seed]
     edges = []
-    queue = [seed]
-    while queue:
-        b = queue.pop(0)
-        src = index[b]
+    # vertices is also the BFS queue: it grows while the loop reads it
+    for src, b in enumerate(vertices):
         for i in ops:
             c = crystal_f(i, b)
             if c is None:
@@ -405,6 +397,5 @@ def generate_crystal_graph(seed, ops=None):
                     raise LimitExceeded("crystal graph exceeds vertex cap %d" % cap)
                 index[c] = len(vertices)
                 vertices.append(c)
-                queue.append(c)
             edges.append((src, i, index[c]))
     return CrystalGraph(vertices, edges, seed.n)

@@ -238,9 +238,7 @@ def weight_multiplicity(id, lam, mu):
     family, m = weyl.check_id(id)
     lam = weyl.check_dominant(lam, id)
     mu = check_weight(mu, m)
-    if m > weyl.MAX_RANK[family]:
-        raise LimitExceeded("rank %d above enumeration cap for type %s"
-                            % (m, family))
+    weyl.check_rank(id)
     total = _weyl_sum(_counter_for(weyl.positive_roots(id), m).count, lam, mu,
                       (family, m))
     if total < 0:

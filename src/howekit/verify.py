@@ -2,9 +2,11 @@
 
 Every identity in the package is checked by computing both sides through
 independent routes: character products against Kostant-type counts, star
-transport against direct combinatorics, and so on.  Each sweep returns a
-report dict {"cells": N, "failures": [...], "runtime_ms": T}; an empty
-failure list means the identity held on every cell.  A duality sweep's
+transport against direct combinatorics, and so on.  Each sweep body is a
+generator of (count, failures) pairs, one per cell, and the one runner
+_reported turns it into a sweep that returns the report dict {"cells": N,
+"failures": [...], "runtime_ms": T}; an empty failure list means the
+identity held on every cell.  A duality sweep's
 failure names its cell by "mu" (and "spec" in the generalized sweep) and
 "lam", then either "reason": "unexpected constituent" for a constituent
 outside the compared lams, or the two routes' values: "char_route" and
@@ -15,6 +17,7 @@ dominant weights with identical branching vectors and reports whatever it
 finds (expected: nothing).
 """
 
+import functools
 import itertools
 import time
 from math import prod
@@ -32,21 +35,21 @@ from .partitions import (MultiPartition, Partition, conjugate,
                          enumerate_rectangle, hat, hat_multi)
 
 
-def _report(cells, failures, t0):
-    return {
-        "cells": cells,
-        "failures": failures,
-        "runtime_ms": int((time.perf_counter() - t0) * 1000),
-    }
-
-
-def _merge(results, t0):
-    cells = 0
-    failures = []
-    for c, fails in results:
-        cells += c
-        failures.extend(fails)
-    return _report(cells, failures, t0)
+def _reported(sweep):
+    """The sweep whose body is the generator sweep: it sums the yielded
+    (count, failures) pairs into the report dict, timed from the call.  The
+    body's size checks run before its first cell, so they raise here."""
+    @functools.wraps(sweep)
+    def run(*args):
+        t0 = time.perf_counter()
+        cells = 0
+        failures = []
+        for count, fails in sweep(*args):
+            cells += count
+            failures += fails
+        return {"cells": cells, "failures": failures,
+                "runtime_ms": int((time.perf_counter() - t0) * 1000)}
+    return run
 
 
 def _checked_count(counts, what):
@@ -141,12 +144,12 @@ def _compare(dec, lams, other_route, tag, route_key):
     return fails
 
 
+@_reported
 def _duality_sweep(family, n, m):
     """For every mu in the n x m rectangle, compare the expansion of
     e_{mu'_1}...e_{mu'_m} with Kostant weight multiplicities of rank m:
     type A at (lam', mu') for the lam of |mu|, type C at (hat(lam),
     hat(mu)) for every lam in the rectangle."""
-    t0 = time.perf_counter()
     lams = _rectangle(n, m)
     cols = {lam: conjugate(lam).padded(m) for lam in lams}
     weights = cols if family == "A" else {
@@ -159,16 +162,13 @@ def _duality_sweep(family, n, m):
     for lam in lams:
         compared.setdefault(group(lam), {})[lam] = weights[lam]
     product = _elem_products(family, n)
-
-    def cell(mu):
+    for mu in lams:
         same = compared[group(mu)]
         dec = decompose(product(cols[mu]), family, n)
         mu_w = weights[mu]
-        return len(same), _compare(
+        yield len(same), _compare(
             dec, same, lambda w: weight_multiplicity((family, m), w, mu_w),
             {"mu": list(mu.stripped())}, "weight_mult")
-
-    return _merge(map(cell, lams), t0)
 
 
 def verify_schur_duality(n, m):
@@ -191,6 +191,7 @@ def verify_howe_duality(n, m):
     return _duality_sweep("C", n, m)
 
 
+@_reported
 def verify_generalized_duality(n, r_max, size_bound):
     """Cross-check the two multiplicity routes on every block shape.
 
@@ -198,19 +199,16 @@ def verify_generalized_duality(n, r_max, size_bound):
     up to size_bound, and all multipartitions with component j inside the
     n x size_j rectangle; each cell compares one (spec, mu, lam) triple.
     """
-    t0 = time.perf_counter()
+    if size_bound < 1:
+        return
     # (2 size_bound)^r specs of r blocks, summed over r <= r_max
-    per_block = 2 * max(size_bound, 0)
-    _checked_count(itertools.accumulate(itertools.accumulate(
-        itertools.repeat(per_block, r_max if per_block else 0), mul)),
-        "block shapes")
+    _checked_count(itertools.accumulate(
+        (2 * size_bound) ** r for r in range(1, r_max + 1)), "block shapes")
     specs = [DiagramSpec(symbols, sizes) for r in range(1, r_max + 1)
              for symbols in itertools.product("AC", repeat=r)
              for sizes in itertools.product(range(1, size_bound + 1),
                                             repeat=r)]
-
-    def cell(spec):
-        fails = []
+    for spec in specs:
         m = spec.total()
         hats = {lam: hat(lam, n, m) for lam in _rectangle(n, m)}
         rspec = spec.reversed()
@@ -220,6 +218,7 @@ def verify_generalized_duality(n, r_max, size_bound):
                        "multipartitions")
         mus = [MultiPartition(c, spec.sizes)
                for c in itertools.product(*pools)]
+        fails = []
         for mu in mus:
             dec = decompose(char_product(mu, spec, n), "C", n)
             nu_hat = hat_multi(mu, n)
@@ -228,9 +227,7 @@ def verify_generalized_duality(n, r_max, size_bound):
                 {"spec": spec_tag,
                  "mu": [list(c.stripped()) for c in mu.components]},
                 "branch_route")
-        return len(mus) * len(hats), fails
-
-    return _merge(map(cell, specs), t0)
+        yield len(mus) * len(hats), fails
 
 
 def _mu_primes(n, m):
@@ -244,6 +241,15 @@ def _mu_primes(n, m):
     return list(itertools.product(range(2 * n + 1), repeat=m))
 
 
+def _vertices(n, m):
+    """The vertices of a crystal sweep: (list(mu'), b) for every b in
+    B_{mu'}, over the column-height vectors of _mu_primes(n, m)."""
+    for mu_prime in _mu_primes(n, m):
+        for b in enumerate_B(mu_prime, n):
+            yield list(mu_prime), b
+
+
+@_reported
 def verify_bijection(n, m):
     """Check that star pairs highest weight vertices with King tableaux.
 
@@ -253,7 +259,6 @@ def verify_bijection(n, m):
     hat(mu), with star_inverse undoing the map.  A failed cell lists its
     mu_prime and lam next to the failure of duality.star_pairing.
     """
-    t0 = time.perf_counter()
     keys = _mu_primes(n, m)
     lams = _rectangle(n, m)
     rect = set(lams)
@@ -262,8 +267,7 @@ def verify_bijection(n, m):
     for lam in lams:
         lam_hat = hat(lam, n, m)
         kings.append((lam_hat, king_tableaux_by_weight(lam_hat, m, n)))
-
-    def cell(mu_prime):
+    for mu_prime in keys:
         fails = []
         mu_tag = list(mu_prime)
         mu_hat = tuple(n - h for h in reversed(mu_prime))
@@ -274,18 +278,14 @@ def verify_bijection(n, m):
             if Partition(w) not in rect:
                 fails.append({"mu_prime": mu_tag, "weight": list(w),
                               "reason": "weight outside rectangle"})
-        count = 0
         for lam, (lam_hat, table) in zip(lams, kings):
-            count += 1
             vertices = buckets.get(tuple(lam.padded(n)), [])
             _, failure = star_pairing(vertices, lam_hat, mu_hat, n, m,
                                       table.get(mu_hat, []))
             if failure is not None:
                 fails.append(dict(failure, mu_prime=mu_tag,
                                   lam=list(lam.stripped())))
-        return count, fails
-
-    return _merge(map(cell, keys), t0)
+        yield len(lams), fails
 
 
 def _removed_pair(before, after, j):
@@ -302,57 +302,38 @@ def _removed_pair(before, after, j):
     return gone
 
 
+@_reported
 def verify_contraction(n, m):
     """Check that kappa_j removes one (bar k, k) pair and commutes with
     every crystal operator e_i, 0 <= i <= n-1, as partial maps."""
-    t0 = time.perf_counter()
-
-    def cell(mu_prime):
+    for mu_tag, b in _vertices(n, m):
         fails = []
-        count = 0
-        mu_tag = list(mu_prime)
-        for b in enumerate_B(mu_prime, n):
-            for j in range(1, m + 1):
-                kb = kappa(j, b)
-                if kb is not None and _removed_pair(b, kb, j) is None:
+        for j in range(1, m + 1):
+            kb = kappa(j, b)
+            if kb is not None and _removed_pair(b, kb, j) is None:
+                fails.append({"mu_prime": mu_tag,
+                              "element": b.to_json_obj(), "j": j,
+                              "reason": "not a pair removal"})
+            for i in range(n):
+                eb = crystal_e(i, b)
+                left = kappa(j, eb) if eb is not None else None
+                right = crystal_e(i, kb) if kb is not None else None
+                if left != right:
                     fails.append({"mu_prime": mu_tag,
-                                  "element": b.to_json_obj(), "j": j,
-                                  "reason": "not a pair removal"})
-                for i in range(n):
-                    count += 1
-                    eb = crystal_e(i, b)
-                    left = kappa(j, eb) if eb is not None else None
-                    right = crystal_e(i, kb) if kb is not None else None
-                    if left != right:
-                        fails.append({"mu_prime": mu_tag,
-                                      "element": b.to_json_obj(),
-                                      "j": j, "i": i,
-                                      "reason": "commutation broken"})
-        return count, fails
-
-    return _merge(map(cell, _mu_primes(n, m)), t0)
+                                  "element": b.to_json_obj(),
+                                  "j": j, "i": i,
+                                  "reason": "commutation broken"})
+        yield m * n, fails
 
 
+@_reported
 def verify_jdt(n, m):
     """Check that the jeu de taquin slides agree with the transported
     barred raising operators on every vertex, as partial maps."""
-    t0 = time.perf_counter()
-
-    def cell(mu_prime):
-        fails = []
-        count = 0
-        for b in enumerate_B(mu_prime, n):
-            for j in range(1, m):
-                count += 1
-                left = jdt_bar(j, b)
-                right = kappa(-j, b)
-                if left != right:
-                    fails.append({"mu_prime": list(mu_prime),
-                                  "element": b.to_json_obj(), "j": j,
-                                  "reason": "slide disagrees with transport"})
-        return count, fails
-
-    return _merge(map(cell, _mu_primes(n, m)), t0)
+    for mu_tag, b in _vertices(n, m):
+        yield m - 1, [{"mu_prime": mu_tag, "element": b.to_json_obj(),
+                       "j": j, "reason": "slide disagrees with transport"}
+                      for j in range(1, m) if jdt_bar(j, b) != kappa(-j, b)]
 
 
 def _position_classes(spec, parabolic):
@@ -370,6 +351,7 @@ def _position_classes(spec, parabolic):
     return classes
 
 
+@_reported
 def injectivity_scan(spec, part_bound, n_bound):
     """Search for distinct branching data with identical coefficient
     vectors over all dominant weights in the m x n_bound rectangle.
@@ -380,7 +362,6 @@ def injectivity_scan(spec, part_bound, n_bound):
     treated as one cell; in the parabolic case the last dual-side block is
     pinned.  Any two inequivalent tuples sharing a vector are reported.
     """
-    t0 = time.perf_counter()
     if not isinstance(spec, DiagramSpec):
         spec = DiagramSpec(*spec)
     all_c = all(s == "C" for s in spec.symbols)
@@ -414,15 +395,7 @@ def injectivity_scan(spec, part_bound, n_bound):
         vec = tuple(branching_coefficient(kap, hspec, nu) for kap in kappas)
         groups.setdefault(vec, []).append(comps)
 
-    failures = []
-    for vec in sorted(groups):
-        members = groups[vec]
-        if len(members) < 2:
-            continue
-        first = members[0]
-        for other in members[1:]:
-            failures.append({
-                "mu_hat": [list(c.stripped()) for c in first],
-                "nu_hat": [list(c.stripped()) for c in other],
-            })
-    return _report(len(reps), failures, t0)
+    yield len(reps), [{"mu_hat": [list(c.stripped()) for c in first],
+                       "nu_hat": [list(c.stripped()) for c in other]}
+                      for first, *others in map(groups.get, sorted(groups))
+                      for other in others]

@@ -37,6 +37,15 @@ def check_id(id):
     return family, m
 
 
+def check_rank(id):
+    """check_id, then the rank cap MAX_RANK of the family."""
+    family, m = check_id(id)
+    if m > MAX_RANK[family]:
+        raise LimitExceeded("rank %d above enumeration cap for type %s"
+                            % (m, family))
+    return family, m
+
+
 def check_dominant(lam, id):
     """Validate lam as a dominant weight for id; return it as a length-m
     tuple.  lam is a Partition or a weight vector."""
@@ -121,9 +130,7 @@ def act(w, v):
 @lru_cache(maxsize=None)
 def enumerate_weyl(id):
     """All elements of the Weyl group, deterministically ordered."""
-    family, m = check_id(id)
-    if m > MAX_RANK[family]:
-        raise LimitExceeded("rank %d above enumeration cap for type %s" % (m, family))
+    family, m = check_rank(id)
     signs = (list(itertools.product((1, -1), repeat=m)) if family == "C"
              else [None])
     return tuple(WeylElement(p, s)

@@ -1,6 +1,7 @@
 """End-to-end sweep drivers and the injectivity scanner."""
 
 import itertools
+import json
 
 import pytest
 
@@ -270,3 +271,20 @@ def test_generalized_checks_each_block_shape(args, cap, what):
             verify_generalized_duality(*args)
     assert str(info.value) == ("sweep would list more than enum_cap %d %s"
                                % (cap, what))
+
+
+def test_generalized_without_block_sizes_is_empty(monkeypatch, capsys):
+    # size_bound < 1 admits no block shape, whatever r_max: no symbol
+    # sequence may be listed
+    from howekit.cli import dispatch
+
+    def listing(*args, **kwargs):
+        raise AssertionError("listed block shapes")
+    monkeypatch.setattr(itertools, "product", listing)
+    for size_bound in (0, -1):
+        rep = verify_generalized_duality(1, 10 ** 9, size_bound)
+        assert (rep["cells"], rep["failures"]) == (0, [])
+    rc = dispatch(["verify-generalized", "--n", "1", "--r", "1000000000",
+                   "--size-bound", "0"])
+    rep = json.loads(capsys.readouterr().out)
+    assert (rc, rep["cells"], rep["failures"]) == (0, 0, [])

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from howekit import WeylElement
-from howekit import weyl
+from howekit import (LimitExceeded, Partition, WeylElement,
+                     weight_multiplicity, weyl, weyl_character)
 from howekit.weyl import (act, dot_delta_C, dot_rho, enumerate_weyl,
                           positive_roots, rho, sign)
 
@@ -107,3 +107,17 @@ def test_check_id_rejects_garbage():
         weyl.check_id(("B", 2))
     with pytest.raises(ValueError):
         weyl.check_id(("C", 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam, m: enumerate_weyl((fam, m)),
+    lambda fam, m: weyl_character(Partition(()), fam, m),
+    lambda fam, m: weight_multiplicity((fam, m), Partition(()), (0,) * m),
+], ids=["enumerate_weyl", "weyl_character", "weight_multiplicity"])
+@pytest.mark.parametrize("family", ["A", "C"])
+def test_rank_cap_message(call, family):
+    m = weyl.MAX_RANK[family] + 1
+    with pytest.raises(LimitExceeded) as info:
+        call(family, m)
+    assert str(info.value) == ("rank %d above enumeration cap for type %s"
+                               % (m, family))
