@@ -23,6 +23,7 @@ from contraction counts delta_j and slide counts gamma_j.
 
 from functools import lru_cache, partial
 from math import ceil
+from operator import gt
 
 from ._value import Value
 from .crystals import TensorElement, _lower, _raise, is_admissible
@@ -33,16 +34,16 @@ from .errors import HowekitError
 
 @lru_cache(maxsize=None)
 def _king_f_map(idx, m):
-    # f on the letters it acts on, j -> jbar or jbar -> j+1; cached and shared
+    # f on the keys it acts on, j -> jbar or jbar -> j+1; cached and shared
     j = abs(int(idx))
     if idx > 0:
         if not 1 <= j <= m:
             raise HowekitError("unbarred index %d outside 1..%d" % (j, m))
-        return {KingEntry(j, False): KingEntry(j, True)}
+        return {KingEntry(j, False).key(): KingEntry(j, True).key()}
     if idx < 0:
         if not 1 <= j <= m - 1:
             raise HowekitError("barred index %d outside 1..%d" % (j, m - 1))
-        return {KingEntry(j, True): KingEntry(j + 1, False)}
+        return {KingEntry(j, True).key(): KingEntry(j + 1, False).key()}
     raise HowekitError("operator index must be nonzero")
 
 
@@ -152,17 +153,10 @@ def from_bar_complement(bc):
 def _min_offset(left, right):
     """Minimal l so that right (rows 1..q) and left (rows l+1..l+p) form
     a skew tableau of shape nu/(1^l), rows weakly increasing."""
-    p, q = len(left), len(right)
-    l = max(0, q - p)
-    while True:
-        ok = True
-        for r in range(l + 1, min(l + p, q) + 1):
-            if left[r - l - 1] > right[r - 1]:
-                ok = False
-                break
-        if ok:
-            return l
+    l = max(0, len(right) - len(left))
+    while any(map(gt, left, right[l:])):
         l += 1
+    return l
 
 
 def jdt_bar(j, b):

@@ -114,8 +114,8 @@ def _bracket(columns, order, f_map):
 
 
 def _apply_at(b, j, old, new):
-    # b is a TensorElement or a KingElement, both (columns, rank); the
-    # operators map letters into the alphabet, so the image is valid
+    # b is a TensorElement or a KingElement, both (columns of ints, rank);
+    # the operators map letters into the alphabet, so the image is valid
     columns, rank = b._fields(b)
     col = columns[j]
     entries = sorted(set(col) - {old} | {new})

@@ -1,8 +1,9 @@
 """Star duality between column Fock spaces, and King tableaux.
 
-The dual alphabet is 1 < 1bar < 2 < 2bar < ... < m < mbar.  Entries are
-(value, barred) pairs with total-order key 2j-1 for an unbarred j and 2j
-for a barred one.  A King tableau is a semistandard filling on this
+The dual alphabet is 1 < 1bar < 2 < 2bar < ... < m < mbar.  Columns hold
+each letter as its order key, 2j-1 for an unbarred j and 2j for a barred
+one; KingEntry is the letter as a (value, barred) value and spells the
+keys ("2b" for 4).  A King tableau is a semistandard filling on this
 alphabet whose row-j entries are all >= j (i.e. have key >= 2j-1), and
 its weight is (a_m, ..., a_1) with a_j counting unbarred j minus barred j.
 
@@ -19,16 +20,20 @@ highest weight vertices it produces King tableaux, with shape and weight
 given by the rectangle complement maps.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from operator import attrgetter
+from operator import le
 
 from ._value import Value
 from .crystals import TensorElement, highest_weight_vertices
 from .errors import HowekitError, LimitExceeded, MalformedTableau
 from .limits import get_cap
 from .partitions import Partition, hat
+
+
+def _spell(k):
+    # the letter of order key k: "j" for 2j - 1, "jb" for 2j
+    return "%d%s" % ((k + 1) // 2, "" if k % 2 else "b")
 
 
 class KingEntry(Value):
@@ -63,12 +68,10 @@ class KingEntry(Value):
     @classmethod
     def from_str(cls, s):
         s = s.strip()
-        if s.endswith("b"):
-            return cls(int(s[:-1]), True)
-        return cls(int(s), False)
+        return cls(int(s.removesuffix("b")), s.endswith("b"))
 
     def __str__(self):
-        return "%d%s" % (self.value, "b" if self.barred else "")
+        return _spell(self.key())
 
     def __repr__(self):
         return "KingEntry(%d, %r)" % (self.value, self.barred)
@@ -80,25 +83,39 @@ class KingEntry(Value):
         return self.key() <= other.key()
 
 
+def _key(e):
+    # the order key of a KingEntry, a key or a (value, barred) pair
+    if type(e) is int:
+        e = KingEntry.from_key(e)
+    elif isinstance(e, (tuple, list)) and len(e) == 2:
+        e = KingEntry(*e)
+    elif not isinstance(e, KingEntry):
+        raise HowekitError("entry %r is not a dual letter, order key or "
+                           "(value, barred) pair" % (e,))
+    return e.key()
+
+
 def check_king_column(entries, m):
-    col = tuple(e if isinstance(e, KingEntry) else KingEntry(*e) for e in entries)
-    for e in col:
-        if e.value > m:
+    col = tuple(map(_key, entries))
+    for k in col:
+        if k > 2 * m:
             raise HowekitError("entry %s outside the dual alphabet of rank %d"
-                               % (e, m))
+                               % (_spell(k), m))
     for a, b in zip(col, col[1:]):
-        if not a < b:
+        if a >= b:
             raise HowekitError("column %r is not strictly increasing"
-                               % ([str(e) for e in col],))
+                               % (list(map(_spell, col)),))
     return col
 
 
 class KingElement(Value):
     """A tensor product of columns on the dual alphabet, empties kept.
+    Each column is a tuple of order keys, built from KingEntry letters,
+    (value, barred) pairs or keys; KingEntry spells them.
 
     >>> t = KingElement([[(1, False), (2, True)], []], 2)
-    >>> t.heights()
-    (2, 0)
+    >>> t.columns, t.heights()
+    (((1, 4), ()), (2, 0))
     """
 
     __slots__ = ("columns", "m")
@@ -130,7 +147,7 @@ class KingElement(Value):
         return "KingElement(%r, %d)" % (self.to_json_obj(), self.m)
 
     def to_json_obj(self):
-        return [[str(e) for e in c] for c in self.columns]
+        return [list(map(_spell, c)) for c in self.columns]
 
     @classmethod
     def from_json_obj(cls, obj, m):
@@ -153,13 +170,6 @@ def tilde_expand(b):
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
-def _king_letters(m):
-    # the shared (j, jbar) letter pairs for j = 1..m, interned per rank
-    return tuple((KingEntry(j, False), KingEntry(j, True))
-                 for j in range(1, m + 1))
-
-
 def star(b):
     """The dual element: column i collects the x with i in ctilde_x.
 
@@ -170,13 +180,12 @@ def star(b):
         raise HowekitError("star needs an element with at least one column")
     cols = [[] for _ in range(b.n)]
     # letters go in as j, jbar for j = 1, 2, ..., so every column is sorted
-    for c, (plain, barred) in zip(b.columns, _king_letters(len(b.columns))):
-        letters = set(c)
+    for plain, c in zip(range(1, 2 * len(b.columns), 2), b.columns):
         for i, col in enumerate(cols, 1):
-            if -i not in letters:
+            if -i not in c:
                 col.append(plain)
-            if i in letters:
-                col.append(barred)
+            if i in c:
+                col.append(plain + 1)
     return KingElement._trusted(tuple(map(tuple, cols)), len(b.columns))
 
 
@@ -191,42 +200,32 @@ def star_inverse(t, n=None, m=None):
         raise HowekitError("expected %d columns, got %d" % (n, len(t.columns)))
     if n < 1:
         raise HowekitError("rank must be positive")
-    # tilde[j - 1] and tilde_bar[j - 1]: the King columns holding j, jbar,
-    # in increasing order; letters above m have no column of b
-    tilde = [set() for _ in range(m)]
-    tilde_bar = [[] for _ in range(m)]
+    # tilde[k]: the King columns holding key k, in increasing order;
+    # letters above m have no column of b
+    tilde = [[] for _ in range(2 * m + 1)]
     for i, col in enumerate(t.columns, 1):
-        for e in col:
-            if e.value <= m:
-                if e.barred:
-                    tilde_bar[e.value - 1].append(i)
-                else:
-                    tilde[e.value - 1].add(i)
-    cols = tuple(tuple(-x for x in range(n, 0, -1) if x not in plain)
-                 + tuple(barred) for plain, barred in zip(tilde, tilde_bar))
+        for k in col:
+            if k <= 2 * m:
+                tilde[k].append(i)
+    cols = tuple(tuple(-x for x in range(n, 0, -1) if x not in tilde[k])
+                 + tuple(tilde[k + 1]) for k in range(1, 2 * m, 2))
     return TensorElement._trusted(cols, n)
 
 
 def king_weight(t):
     """The weight (a_m, ..., a_1), a_j = #(unbarred j) - #(barred j)."""
-    a = [0] * (t.m + 1)
+    a = [0] * (2 * t.m + 1)
     for c in t.columns:
-        for e in c:
-            a[e.value] += -1 if e.barred else 1
-    return tuple(a[t.m - k] for k in range(t.m))
-
-
-_order = attrgetter("value", "barred")
+        for k in c:
+            a[k] += 1
+    return tuple(a[2 * j - 1] - a[2 * j] for j in range(t.m, 0, -1))
 
 
 def _rows_increase(cols):
     # columns of weakly decreasing heights: row r of each column sits
-    # beside row r of the next; (value, barred) pairs sort as the keys do
-    for left, right in zip(cols, cols[1:]):
-        for a, b in zip(left, right):
-            if _order(a) > _order(b):
-                return False
-    return True
+    # beside row r of the next
+    return all(all(map(le, left, right))
+               for left, right in zip(cols, cols[1:]))
 
 
 def is_semistandard(t):
@@ -255,7 +254,7 @@ def is_king_tableau(t):
     cols = t.columns
     # rows weakly increase from the first column, so its row-j entry is
     # the least of row j
-    if cols and any(e.value < r for r, e in enumerate(cols[0], start=1)):
+    if cols and any(k < 2 * r - 1 for r, k in enumerate(cols[0], start=1)):
         return False
     return _rows_increase(cols)
 
@@ -286,30 +285,22 @@ def king_tableaux_by_weight(shape, m, n=None):
     if guard > get_cap("enum_cap"):
         raise LimitExceeded("King enumeration size %d exceeds cap" % guard)
 
-    alphabet = [KingEntry.from_key(k) for k in range(1, 2 * m + 1)]
-    columns_by_height = {}
-    for h in set(heights):
-        cands = []
-        for combo in combinations(alphabet, h):
-            if all(combo[r].key() >= 2 * r + 1 for r in range(h)):
-                cands.append(combo)
-        columns_by_height[h] = cands
+    columns_by_height = {h: [c for c in combinations(range(1, 2 * m + 1), h)
+                             if all(c[r] >= 2 * r + 1 for r in range(h))]
+                         for h in set(heights)}
 
+    # one column at a time, left to right; a semistandard prefix always
+    # extends (repeat the top of its last column), so no level outgrows
+    # the table
+    prefixes = [()]
+    for h in heights:
+        prefixes = [acc + (col,) for acc in prefixes
+                    for col in columns_by_height[h]
+                    if not acc or all(map(le, acc[-1], col))]
     table = {}
-
-    def rec(i, acc):
-        if i == width:
-            t = KingElement._trusted(tuple(acc) + ((),) * (n - width), m)
-            table.setdefault(king_weight(t), []).append(t)
-            return
-        for col in columns_by_height[heights[i]]:
-            if acc:
-                prev = acc[-1]
-                if any(not prev[r] <= col[r] for r in range(len(col))):
-                    continue
-            rec(i + 1, acc + [col])
-
-    rec(0, [])
+    for cols in prefixes:
+        t = KingElement._trusted(cols + ((),) * (n - width), m)
+        table.setdefault(king_weight(t), []).append(t)
     return table
 
 

@@ -232,14 +232,18 @@ def enumerate_rectangle(n, m):
         raise ValueError("rectangle bounds must be nonnegative")
 
     # lexicographic order on stripped tuples: each prefix comes before
-    # its extensions, and these go by their next part
-    def gen(prefix, rows_left, first_max):
-        yield Partition(prefix)
-        if rows_left:
-            for part in range(1, first_max + 1):
-                yield from gen(prefix + (part,), rows_left - 1, part)
+    # its extensions, and these go by their next part, so the stack of
+    # prefixes still to visit holds the least on top
+    def walk():
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            yield Partition(prefix)
+            if len(prefix) < n:
+                stack.extend(prefix + (part,) for part in
+                             range(prefix[-1] if prefix else m, 0, -1))
 
-    return gen((), n, m)
+    return walk()
 
 
 def check_weight(w, m=None):

@@ -25,7 +25,8 @@ from operator import mul
 
 from . import limits
 from .bicrystal import jdt_bar, kappa
-from .characters import _elem_products, char_product, decompose
+from .characters import (_check_subsets, _elem_products, char_product,
+                         decompose)
 from .crystals import (_highest_weight_elements, crystal_e, enumerate_B,
                        weight_of)
 from .duality import king_tableaux_by_weight, star_pairing
@@ -151,6 +152,10 @@ def _duality_sweep(family, n, m):
     type A at (lam', mu') for the lam of |mu|, type C at (hat(lam),
     hat(mu)) for every lam in the rectangle."""
     lams = _rectangle(n, m)
+    if m >= 1:
+        # the products build every e_k, k <= n, in increasing k
+        for k in range(n + 1):
+            _check_subsets(k, n if family == "A" else 2 * n)
     cols = {lam: conjugate(lam).padded(m) for lam in lams}
     weights = cols if family == "A" else {
         lam: hat(lam, n, m).padded(m) for lam in lams}

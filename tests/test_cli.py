@@ -3,11 +3,15 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import howekit
 from howekit import DiagramSpec, limits
 from howekit.cli import dispatch
 
@@ -447,3 +451,25 @@ def test_one_parser_and_no_state_between_calls(capsys):
     assert helps[0][0] == 0 and helps[0][1].startswith("usage: howekit")
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 7)  # eight dispatch calls
+
+
+@pytest.mark.parametrize("cmd, letters, subsets", [
+    ("verify-schur", 1500, 561375500),
+    ("verify-howe", 3000, 4495501000),
+])
+def test_wide_duality_sweeps_exit_two_at_once(cmd, letters, subsets):
+    # run in a child held to 1 GiB and 60 s, so that a sweep which starts
+    # building e_2 of 1500 letters fails here instead of filling memory
+    resource = pytest.importorskip("resource")
+    gib = (1 << 30, 1 << 30)
+    src = str(Path(howekit.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "howekit.cli", cmd, "--n", "1500", "--m", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, gib))
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: e_3 of %d letters has %d subsets, above enum_cap "
+        "10000000\n" % (letters, subsets))

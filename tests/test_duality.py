@@ -1,6 +1,8 @@
 """Star duality between column crystals and King tableaux."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -10,7 +12,7 @@ from howekit import (HowekitError, KingElement, KingEntry, LimitExceeded,
                      is_king_tableau, is_semistandard, king_weight, limits,
                      star, star_inverse, tilde_expand,
                      verify_combinatorial_howe, weight_multiplicity)
-from howekit.bicrystal import king_e, king_f
+from howekit.bicrystal import dilate, kappa, king_e, king_f
 from howekit.duality import king_tableaux_by_weight, star_pairing
 
 
@@ -279,10 +281,11 @@ def test_king_json_round_trip():
 
 def _assert_validated(x, rebuilt):
     # a result built without checks equals, and hashes like, the public
-    # constructor's result, and holds its columns as tuples
+    # constructor's result, and holds its columns as tuples of ints
     assert x == rebuilt and hash(x) == hash(rebuilt)
     assert type(x.columns) is tuple
     assert all(type(c) is tuple for c in x.columns)
+    assert all(type(k) is int for c in x.columns for k in c)
 
 
 def _all_elements(n, m):
@@ -339,3 +342,63 @@ def test_king_operator_images_equal_validated_ones():
                         if s is not None:
                             _assert_validated(s, KingElement.from_json_obj(
                                 s.to_json_obj(), m))
+
+
+def test_king_columns_hold_order_keys():
+    # 2j - 1 for j, 2j for jbar, whatever spelling the letters came in
+    t = K([[(1, False), (2, True)]], 2)
+    assert t.columns == ((1, 4),)
+    for same in (K([[1, 4]], 2), K([[KingEntry(1), KingEntry(2, True)]], 2)):
+        assert same == t and hash(same) == hash(t)
+    for n in (1, 2):
+        for m in (1, 2):
+            for b in _all_elements(n, m):
+                t = star(b)
+                assert KingElement(t.columns, t.m) == t
+
+
+@pytest.mark.parametrize("cols, message", [
+    ([[5]], "entry 3 outside the dual alphabet of rank 2"),
+    ([[0]], "order key must be >= 1, got 0"),
+    ([[4, 3]], r"column \['2b', '2'\] is not strictly increasing"),
+    # strings are spelled letters, not keys or pairs: from_json_obj reads them
+    ([["10"]], "entry '10' is not a dual letter"),
+    ([["12"]], "entry '12' is not a dual letter"),
+    ([["1b2"]], "entry '1b2' is not a dual letter"),
+    ([[None]], "entry None is not a dual letter"),
+    ([[(1, False, 2)]], r"entry \(1, False, 2\) is not a dual letter"),
+    ([[1.0]], "entry 1.0 is not a dual letter"),
+    ([[True]], "entry True is not a dual letter"),
+])
+def test_king_column_rejects_bad_entries(cols, message):
+    with pytest.raises(HowekitError, match=message):
+        K(cols, 2)
+
+
+def _json(x):
+    return None if x is None else x.to_json_obj()
+
+
+def _king_layer_records():
+    for n in (1, 2):
+        for m in (1, 2, 3):
+            ops = list(range(1, m + 1)) + [-j for j in range(1, m)]
+            for b in _all_elements(n, m):
+                t = star(b)
+                try:
+                    king = is_king_tableau(t)
+                except MalformedTableau as exc:
+                    king = str(exc)
+                yield [b.to_json_obj(), t.to_json_obj(), king_weight(t),
+                       list(t.shape()), king,
+                       [[_json(op(j, t)) for op in (king_e, king_f)]
+                        + [_json(op(j, b)) for op in (kappa, dilate)]
+                        for j in ops]]
+
+
+def test_king_layer_digest():
+    # star images, their weights, shapes and King property, and every
+    # King operator and transported map on them, for n <= 2 and m <= 3
+    text = json.dumps(list(_king_layer_records()), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4bde57e441b354c56cc349c21e48d678c24158338ce605d28f96d720995efa87")

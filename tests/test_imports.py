@@ -98,7 +98,7 @@ TRUSTED_CALL_SITES = {
     ("crystals", "_highest_weight_elements.fill"),
     ("duality", "star"),
     ("duality", "star_inverse"),
-    ("duality", "king_tableaux_by_weight.rec"),
+    ("duality", "king_tableaux_by_weight"),
 }
 
 

@@ -83,6 +83,17 @@ def test_enumerate_rectangle_order_and_count():
             assert len(set(lams)) == len(lams)
 
 
+def test_enumerate_rectangle_walks_tall_rectangles():
+    # 1500 rows are deeper than the recursion limit; the walk keeps its
+    # own stack and still lists the 1501 partitions in lex order
+    lams = rect(1500, 1)
+    assert len(lams) == 1501
+    assert lams[:3] == [(), (1,), (1, 1)] and lams[-1] == (1,) * 1500
+    # the bound check runs at the call, not at the first next
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_rectangle(-1, 2)
+
+
 def test_involution_pinned_value():
     assert involution_I((3, 1, 1, 1, 2, 2, 1)) == (-1, -2, -2, -1, -1, -1, -3)
     assert involution_I(involution_I((0, -2, 5))) == (0, -2, 5)

@@ -259,6 +259,25 @@ def test_sweeps_check_sizes_before_listing(monkeypatch, sweep, args, error,
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+@pytest.mark.parametrize("sweep, letters, subsets", [
+    (verify_schur_duality, 1500, 561375500),
+    (verify_howe_duality, 3000, 4495501000),
+], ids=["schur", "howe"])
+def test_duality_sweeps_check_every_factor_before_the_first(
+        monkeypatch, sweep, letters, subsets):
+    # e_2 of 1500 letters is under enum_cap yet holds 1.12 M exponent
+    # tuples; e_3 is over it, so the sweep must stop before building any
+    from howekit import characters
+
+    def building(*args):
+        raise AssertionError("built an elementary polynomial")
+    monkeypatch.setattr(characters, "combinations", building)
+    with pytest.raises(LimitExceeded) as info:
+        sweep(1500, 1)
+    assert str(info.value) == ("e_3 of %d letters has %d subsets, above "
+                               "enum_cap 10000000" % (letters, subsets))
+
+
 @pytest.mark.parametrize("args, cap, what", [
     # 2 block shapes, each over the 6 x 1 rectangle: C(7, 1) = 7
     ((6, 1, 1), 5, "partitions of the 6 x 1 rectangle"),
