@@ -98,14 +98,13 @@ def _bracket(columns, order, f_map):
     (plus_positions, minus_positions), each as (column, letter) pairs in
     word order, after recursively cancelling +- pairs.
     """
-    minus = set(f_map.values())
     stack = []
     open_minus = []
     for j in order:
         for x in columns[j]:
             if x in f_map:
                 stack.append((j, x))
-            elif x in minus:
+            elif x in f_map.values():
                 if stack:
                     stack.pop()
                 else:
@@ -140,7 +139,7 @@ def _raise(b, order, f_map):
     if not open_minus:
         return None
     j, x = open_minus[-1]
-    return _apply_at(b, j, x, {v: k for k, v in f_map.items()}[x])
+    return _apply_at(b, j, x, next(k for k, v in f_map.items() if v == x))
 
 
 @lru_cache(maxsize=None)
@@ -273,38 +272,27 @@ def _highest_weight_elements(mu_prime, n):
     """
     heights = _checked_heights(mu_prime, n)
     alphabet = [x for x in range(-n, n + 1) if x != 0]
-    # a[i] = #(-i) - #(i), between the sentinels a[0] = 0 (so a_1 >= 0)
-    # and a[n + 1], which no count reaches
-    a = [0] * (n + 2)
-    a[n + 1] = sum(heights) + 1
-    cols = []
-
-    def fill(j, col, start):
+    # entries: (finished columns, open column, next alphabet index, a), with
+    # a[i] = #(-i) - #(i) between the sentinels a[0] = 0 (so a_1 >= 0) and
+    # a[n + 1], which no count reaches
+    stack = [((), (), 0, (0,) * (n + 1) + (sum(heights) + 1,))]
+    while stack:
+        cols, col, start, a = stack.pop()
+        j = len(cols)
         if j == len(heights):
-            yield TensorElement._trusted(tuple(cols), n)
+            yield TensorElement._trusted(cols, n)
         elif len(col) == heights[j]:
-            cols.append(tuple(col))
-            yield from fill(j + 1, [], 0)
-            cols.pop()
+            stack.append((cols + (col,), (), 0, a))
         else:
-            for k in range(start, 2 * n - heights[j] + len(col) + 1):
+            # the greatest candidate goes first, so the least comes off first
+            for k in range(2 * n - heights[j] + len(col), start - 1, -1):
                 x = alphabet[k]
-                if x < 0:
-                    a[-x] += 1
-                    dominant = a[-x] <= a[1 - x]
-                else:
-                    a[x] -= 1
-                    dominant = a[x] >= a[x - 1]
-                if dominant:
-                    col.append(x)
-                    yield from fill(j, col, k + 1)
-                    col.pop()
-                if x < 0:
-                    a[-x] -= 1
-                else:
-                    a[x] += 1
-
-    yield from fill(0, [], 0)
+                i = abs(x)
+                # after the move, a_i <= a_(i+1) (x < 0) or a_i >= a_(i-1)
+                if a[i] < a[i + 1] if x < 0 else a[i] > a[i - 1]:
+                    step = (a[i] + 1,) if x < 0 else (a[i] - 1,)
+                    stack.append((cols, col + (x,), k + 1,
+                                  a[:i] + step + a[i + 1:]))
 
 
 def highest_weight_vertices(mu_prime, lam, n):

@@ -120,30 +120,25 @@ class _Counter:
                 total = self.count(rest)
         elif beta[0] >= 0:
             slots, free = level
-            shifted = list(rest)
-
-            def place(t, partial, left):
-                # t: the slot to fill; partial: the sum of the shifted
-                # residual before slot t, which stays >= 0 as it does for
-                # every positive root; left: what remains of beta_0 after
-                # sum |d_j|
-                nonlocal total
+            # entries: (shifted residual prefix, its sum, which stays >= 0 as
+            # for every positive root, what beta_0 leaves after sum |d_j|)
+            stack = [((), 0, beta[0])]
+            while stack:
+                prefix, partial, left = stack.pop()
+                t = len(prefix)
                 if t == len(rest):
                     k, odd = divmod(left, 2)
                     if not odd:
                         weight = comb(k + free - 1, free - 1) if free else not k
                         if weight:
-                            total += weight * self.count(tuple(shifted))
-                    return
+                            total += weight * self.count(prefix)
+                    continue
                 x = rest[t]
                 down, up = slots[t]
                 lo = max(-left if down else 0, -partial - x)
                 hi = left if up else 0
-                for d in range(lo, hi + 1):
-                    shifted[t] = x + d
-                    place(t + 1, partial + x + d, left - abs(d))
-
-            place(0, 0, beta[0])
+                stack.extend((prefix + (x + d,), partial + x + d, left - abs(d))
+                             for d in range(lo, hi + 1))
         self.memo[beta] = total
         return total
 
@@ -209,16 +204,16 @@ def _weyl_sum(count, lam, mu, id):
     target = tuple(map(add, mu, r))
     m = len(r)
     flips = (1, -1) if id[0] == "C" else (1,)
-    arg = [0] * m
     total = 0
-
-    def place(i, free, partial, eps):
-        # free: the input coordinates not yet placed, in increasing order;
-        # taking the one at index idx adds idx inversions to the permutation
-        nonlocal total
+    # entries: (argument prefix, unplaced input coordinates in increasing
+    # order, prefix sum, sign); taking free[idx] adds idx inversions
+    stack = [((), tuple(range(m)), 0, 1)]
+    while stack:
+        arg, free, partial, eps = stack.pop()
+        i = len(arg)
         if i == m:
-            total += eps * count(tuple(arg))
-            return
+            total += eps * count(arg)
+            continue
         t = target[i]
         for idx, j in enumerate(free):
             rest = free[:idx] + free[idx + 1:]
@@ -226,10 +221,7 @@ def _weyl_sum(count, lam, mu, id):
             for f in flips:
                 x = f * shifted[j] - t
                 if partial + x >= 0:
-                    arg[i] = x
-                    place(i + 1, rest, partial + x, f * e)
-
-    place(0, tuple(range(m)), 0, 1)
+                    stack.append((arg + (x,), rest, partial + x, f * e))
     return total
 
 

@@ -34,6 +34,7 @@ from .errors import HowekitError, LimitExceeded
 from .partfn import DiagramSpec, branching_coefficient, weight_multiplicity
 from .partitions import (MultiPartition, Partition, conjugate,
                          enumerate_rectangle, hat, hat_multi)
+from .weyl import check_rank
 
 
 def _reported(sweep):
@@ -156,6 +157,7 @@ def _duality_sweep(family, n, m):
         # the products build every e_k, k <= n, in increasing k
         for k in range(n + 1):
             _check_subsets(k, n if family == "A" else 2 * n)
+    check_rank((family, m))  # every cell counts multiplicities at rank m
     cols = {lam: conjugate(lam).padded(m) for lam in lams}
     weights = cols if family == "A" else {
         lam: hat(lam, n, m).padded(m) for lam in lams}

@@ -46,6 +46,18 @@ def test_kostant_plain_and_twisted(capsys):
     assert (rc, out) == (0, "3\n")
 
 
+@pytest.mark.parametrize("family, beta, want", [
+    ("A", [0] * 44, "1\n"),
+    ("A", [1] + [0] * 42 + [-1], "4398046511104\n"),  # 2^42
+    ("C", [0] * 44, "1\n"),
+])
+def test_kostant_at_rank_44(capsys, family, beta, want):
+    # the peel walks its slots on a stack, one frame per coordinate only
+    rc, out, err = run(capsys, ["kostant", "--family", family, "--m", "44",
+                                "--beta", ",".join(map(str, beta))])
+    assert (rc, out, err) == (0, want, "")
+
+
 def test_weight_mult(capsys):
     rc, out, _ = run(capsys, ["weight-mult", "--family", "C", "--m", "2",
                               "--lam", "2,0", "--mu", "0,0"])
@@ -453,23 +465,36 @@ def test_one_parser_and_no_state_between_calls(capsys):
     assert (info.misses, info.hits) == (1, 7)  # eight dispatch calls
 
 
-@pytest.mark.parametrize("cmd, letters, subsets", [
-    ("verify-schur", 1500, 561375500),
-    ("verify-howe", 3000, 4495501000),
-])
-def test_wide_duality_sweeps_exit_two_at_once(cmd, letters, subsets):
-    # run in a child held to 1 GiB and 60 s, so that a sweep which starts
-    # building e_2 of 1500 letters fails here instead of filling memory
+def _run_held(args):
+    """Run the CLI in a child held to 1 GiB of address space and 60 s, so
+    that a sweep which starts work it should refuse fails the test instead
+    of filling memory."""
     resource = pytest.importorskip("resource")
     gib = (1 << 30, 1 << 30)
     src = str(Path(howekit.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "howekit.cli", cmd, "--n", "1500", "--m", "1"],
+        [sys.executable, "-m", "howekit.cli"] + args,
         capture_output=True, text=True, timeout=60, env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, gib))
     assert "Traceback" not in proc.stderr
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("cmd, letters, subsets", [
+    ("verify-schur", 1500, 561375500),
+    ("verify-howe", 3000, 4495501000),
+])
+def test_wide_duality_sweeps_exit_two_at_once(cmd, letters, subsets):
+    # building e_2 of 1500 letters would fail here instead of filling memory
+    assert _run_held([cmd, "--n", "1500", "--m", "1"]) == (
         2, "", "error: e_3 of %d letters has %d subsets, above enum_cap "
         "10000000\n" % (letters, subsets))
+
+
+def test_high_rank_duality_sweep_exits_two_at_once():
+    # the rank is checked before the first product, which would recurse
+    # once per column
+    assert _run_held(["verify-schur", "--n", "1", "--m", "1500"]) == (
+        2, "", "error: rank 1500 above enumeration cap for type A\n")

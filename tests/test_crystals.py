@@ -107,11 +107,18 @@ def test_highest_weight_vertices_weights():
 
 def test_highest_weight_generator_matches_filter():
     # oracle: every element of B_{mu'} run through is_highest_weight
-    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3)]
+    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3), (3, 3)]
     for n, m in cases:
         for mu_p in itertools.product(range(2 * n + 1), repeat=m):
             want = [b for b in enumerate_B(mu_p, n) if is_highest_weight(b)]
             assert list(_highest_weight_elements(mu_p, n)) == want, (n, mu_p)
+
+
+def test_highest_weight_generator_walks_many_columns():
+    # 600 columns of height 2 at rank 1: only (-1, 1) each time; the walk
+    # keeps its own stack, so the column count is not a recursion depth
+    assert highest_weight_vertices((2,) * 600, (), 1) == [
+        TensorElement([(-1, 1)] * 600, 1)]
 
 
 @pytest.mark.parametrize("enum", [enumerate_B, _highest_weight_elements])
@@ -195,7 +202,7 @@ def _assert_validated(b):
 
 
 def test_highest_weight_elements_equal_validated_ones():
-    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3)]
+    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3), (3, 3)]
     for n, m in cases:
         for mu_p in itertools.product(range(2 * n + 1), repeat=m):
             for b in _highest_weight_elements(mu_p, n):

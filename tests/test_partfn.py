@@ -54,6 +54,20 @@ def test_kostant_pinned_values():
     assert kostant_partition(roots, (1, 1)) == 2
 
 
+@pytest.mark.parametrize("roots, beta, value, memo", [
+    (positive_roots(("C", 4)), (4, 3, 2, 1), 17448, 134),
+    (positive_roots(("C", 5)), (3, 0, 2, -1, 1), 0, 105),
+    (positive_roots(("A", 6)), (3, 1, 0, -1, -1, -2), 1143, 77),
+    (DiagramSpec("CA", (2, 2)).complement_roots(), (2, 1, 1, 0), 25, 24),
+], ids=["C4", "C5", "A6", "CA22"])
+def test_fresh_counter_value_and_memo_size(roots, beta, value, memo):
+    # the memo holds one entry per residual reached (the empty one
+    # included), whatever order the peel walks its slots in
+    counter = partfn._Counter(roots, len(beta))
+    assert counter.count(beta) == value
+    assert len(counter.memo) == memo
+
+
 def test_kostant_against_bounded_search():
     # each shift d_j of the peel is >= 0 only (type A), <= 0 only (inside
     # an A block of a complement), free (C, and across blocks) or fixed

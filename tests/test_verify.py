@@ -278,6 +278,24 @@ def test_duality_sweeps_check_every_factor_before_the_first(
                                "enum_cap 10000000" % (letters, subsets))
 
 
+@pytest.mark.parametrize("sweep, family", [
+    (verify_schur_duality, "A"), (verify_howe_duality, "C"),
+], ids=["schur", "howe"])
+def test_duality_sweeps_check_the_rank_before_the_first_product(
+        monkeypatch, sweep, family):
+    # every cell counts weight multiplicities at rank m, so a rank above
+    # MAX_RANK is refused before any product is built
+    from howekit import verify
+
+    def building(*args):
+        raise AssertionError("built a product")
+    monkeypatch.setattr(verify, "_elem_products", building)
+    with pytest.raises(LimitExceeded,
+                       match="^rank 11 above enumeration cap for type %s$"
+                       % family):
+        sweep(1, 11)
+
+
 @pytest.mark.parametrize("args, cap, what", [
     # 2 block shapes, each over the 6 x 1 rectangle: C(7, 1) = 7
     ((6, 1, 1), 5, "partitions of the 6 x 1 rectangle"),
