@@ -20,7 +20,7 @@ from operator import add
 from . import limits, weyl
 from ._value import Value
 from .errors import HowekitError, LimitExceeded, NotACharacter
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _check_terms
 from .partitions import Partition, check_weight, conjugate, reduce_column_full
 
 
@@ -34,12 +34,11 @@ def _check_subsets(k, letters):
                             "enum_cap %d" % (k, letters, subsets, cap))
 
 
-@lru_cache(maxsize=None)
 def elem_sym(k, family, n):
     """e_k of the n (family A) or 2n folded (family C) variable values.
 
     Raises LimitExceeded, before enumerating, when e_k has more subsets of
-    the letters than enum_cap allows.
+    the letters than enum_cap allows, whether or not e_k is cached.
     """
     family = str(family).upper()
     k = int(k)
@@ -48,11 +47,17 @@ def elem_sym(k, family, n):
         raise ValueError("n must be nonnegative")
     if family not in ("A", "C"):
         raise ValueError("family must be A or C, got %r" % (family,))
+    _check_subsets(k, n if family == "A" else 2 * n)
+    return _elem_sym(k, family, n)
+
+
+@lru_cache(maxsize=None)
+def _elem_sym(k, family, n):
+    """elem_sym(k, family, n) for checked arguments."""
     # letter s < n is x_{s+1}; in family C, letter n + s is 1/x_{s+1}
     letters = n if family == "A" else 2 * n
     if k < 0 or k > letters:
         return LaurentPolynomial.zero(n)
-    _check_subsets(k, letters)
     terms = {}
     for subset in combinations(range(letters), k):
         exp = [0] * n
@@ -78,18 +83,21 @@ def E_map(p, family, n):
 def _elem_products(family, n):
     """A function from a tuple of column heights c to e_{c_1}...e_{c_k}.
 
-    Products are taken left to right and kept for every prefix, so heights
-    sharing a prefix share its multiplications.  The table lives as long
-    as the returned function: one sweep.
+    Products are taken left to right and kept for every prefix, as is each
+    e_k, so heights sharing a prefix share its multiplications.  The tables
+    live as long as the returned function: one sweep.
     """
     table = {(): LaurentPolynomial.one(n)}
+    elem = lru_cache(maxsize=None)(lambda k: elem_sym(k, family, n))
 
     def product(heights):
-        got = table.get(heights)
-        if got is None:
-            got = product(heights[:-1]) * elem_sym(heights[-1], family, n)
-            table[heights] = got
-        return got
+        # walk back to the longest prefix in the table, then forward
+        end = len(heights)
+        while heights[:end] not in table:
+            end -= 1
+        for i in range(end, len(heights)):
+            table[heights[:i + 1]] = table[heights[:i]] * elem(heights[i])
+        return table[heights]
 
     return product
 
@@ -374,6 +382,35 @@ def schur_folded(delta, n):
                     for i, c in enumerate(cols, 1)], "C", n)
 
 
+def _char_products(n):
+    """A function (mu, spec) -> char_product(mu, spec, n) that keeps the
+    block factors in a table keyed by (symbol, component), which lives as
+    long as the function: one sweep.  A product starts from its first
+    factor, checked against term_cap as one(n) * factor would be."""
+    factors = {}
+
+    def product(mu, spec):
+        if len(mu) != len(spec.symbols):
+            raise ValueError("multipartition has %d components, spec has %d "
+                             "blocks" % (len(mu), len(spec.symbols)))
+        out = None
+        for comp, sym, size in zip(mu.components, spec.symbols, spec.sizes):
+            if not comp.fits_in(n, size):
+                raise ValueError("component %r does not fit in %d x %d"
+                                 % (comp.stripped(), n, size))
+            factor = factors.get((sym, comp))
+            if factor is None:
+                factor = factors[sym, comp] = (
+                    weyl_character(comp, "C", n) if sym == "C"
+                    else schur_folded(comp, n))
+            if out is None:
+                _check_terms(len(factor.terms), limits.get_cap("term_cap"))
+            out = factor if out is None else out * factor
+        return out
+
+    return product
+
+
 def char_product(mu, spec, n):
     """prod_j s^{X_j}_{mu^(j)} in n variables.
 
@@ -382,17 +419,4 @@ def char_product(mu, spec, n):
     polynomials folded at (x, 1/x).  Component j must fit in the
     n x (size_j) rectangle.
     """
-    if len(mu) != len(spec.symbols):
-        raise ValueError("multipartition has %d components, spec has %d blocks"
-                         % (len(mu), len(spec.symbols)))
-    out = LaurentPolynomial.one(n)
-    for comp, sym, size in zip(mu.components, spec.symbols, spec.sizes):
-        if not comp.fits_in(n, size):
-            raise ValueError("component %r does not fit in %d x %d"
-                             % (comp.stripped(), n, size))
-        if sym == "C":
-            factor = weyl_character(comp, "C", n)
-        else:
-            factor = schur_folded(comp, n)
-        out = out * factor
-    return out
+    return _char_products(n)(mu, spec)

@@ -25,8 +25,8 @@ from operator import mul
 
 from . import limits
 from .bicrystal import jdt_bar, kappa
-from .characters import (_check_subsets, _elem_products, char_product,
-                         decompose)
+from .characters import (_char_products, _check_subsets, _elem_products,
+                         char_product, decompose)
 from .crystals import (_highest_weight_elements, crystal_e, enumerate_B,
                        weight_of)
 from .duality import king_tableaux_by_weight, star_pairing
@@ -205,6 +205,10 @@ def verify_generalized_duality(n, r_max, size_bound):
     Sweeps all symbol sequences in {A,C}^r for r <= r_max, all block sizes
     up to size_bound, and all multipartitions with component j inside the
     n x size_j rectangle; each cell compares one (spec, mu, lam) triple.
+    Each input coarser than a cell is built once, in a table that lives
+    for this call: the block factors, the decomposition of each sequence
+    of (symbol, component) pairs, and hat(lam, n, k) for every lam of each
+    n x k rectangle the sweep meets.
     """
     if size_bound < 1:
         return
@@ -215,26 +219,39 @@ def verify_generalized_duality(n, r_max, size_bound):
              for symbols in itertools.product("AC", repeat=r)
              for sizes in itertools.product(range(1, size_bound + 1),
                                             repeat=r)]
+    product = _char_products(n)
+    decs = {}
+    tables = {}
+
+    def hats(k):
+        # lam -> hat(lam, n, k) over the n x k rectangle, in its order
+        if k not in tables:
+            tables[k] = {lam: hat(lam, n, k) for lam in _rectangle(n, k)}
+        return tables[k]
+
     for spec in specs:
-        m = spec.total()
-        hats = {lam: hat(lam, n, m) for lam in _rectangle(n, m)}
+        lams = hats(spec.total())
         rspec = spec.reversed()
         spec_tag = ["".join(spec.symbols), list(spec.sizes)]
-        pools = [_rectangle(n, k) for k in spec.sizes]
-        _checked_count(itertools.accumulate(map(len, pools), mul),
-                       "multipartitions")
-        mus = [MultiPartition(c, spec.sizes)
-               for c in itertools.product(*pools)]
+        pools = [hats(k) for k in spec.sizes]
+        count = _checked_count(itertools.accumulate(map(len, pools), mul),
+                               "multipartitions")
         fails = []
-        for mu in mus:
-            dec = decompose(char_product(mu, spec, n), "C", n)
-            nu_hat = hat_multi(mu, n)
+        for comps in itertools.product(*pools):
+            # the character route does not depend on the block sizes
+            dec = decs.get((spec.symbols, comps))
+            if dec is None:
+                dec = decs[spec.symbols, comps] = decompose(
+                    product(MultiPartition(comps, spec.sizes), spec), "C", n)
+            # hat_multi(mu, n).flatten(): a hat in n x k has k parts
+            nu_vec = sum((pool[c].parts
+                          for c, pool in zip(comps[::-1], pools[::-1])), ())
             fails += _compare(
-                dec, hats, lambda w: branching_coefficient(w, rspec, nu_hat),
+                dec, lams, lambda w: branching_coefficient(w, rspec, nu_vec),
                 {"spec": spec_tag,
-                 "mu": [list(c.stripped()) for c in mu.components]},
+                 "mu": [list(c.stripped()) for c in comps]},
                 "branch_route")
-        yield len(mus) * len(hats), fails
+        yield count * len(lams), fails
 
 
 def _mu_primes(n, m):

@@ -341,7 +341,7 @@ def test_decompose_cap_counts_constituents_like_peeling():
 def test_jacobi_trudi_checks_every_entry_before_building(monkeypatch):
     # each case trips on an entry that build order reaches after smaller
     # ones; with the cache cold, any entry built would enumerate subsets
-    elem_sym.cache_clear()
+    characters._elem_sym.cache_clear()
     calls = []
     monkeypatch.setattr(characters, "combinations",
                         lambda *args: calls.append(args)
@@ -441,6 +441,58 @@ def test_char_product_validates_components():
     with pytest.raises(ValueError):
         char_product(MultiPartition([[1]], blocks=[1]),
                      DiagramSpec("CC", (1, 1)), 2)
+
+
+def test_char_products_match_left_to_right_products():
+    # one table serves every spec of a rank; each product equals
+    # one(n) * f_1 * f_2 built from fresh factors
+    for n in (1, 2):
+        product = characters._char_products(n)
+        for r in (1, 2):
+            for symbols in itertools.product("AC", repeat=r):
+                for sizes in itertools.product((1, 2), repeat=r):
+                    spec = DiagramSpec(symbols, sizes)
+                    pools = [list(enumerate_rectangle(n, k)) for k in sizes]
+                    for comps in itertools.product(*pools):
+                        mu = MultiPartition(comps, sizes)
+                        naive = LaurentPolynomial.one(n)
+                        for sym, comp in zip(symbols, comps):
+                            naive = naive * (
+                                weyl_character(comp, "C", n) if sym == "C"
+                                else schur_folded(comp, n))
+                        assert product(mu, spec) == naive, (spec, mu)
+                        assert char_product(mu, spec, n) == naive
+
+
+@pytest.mark.parametrize("symbols, comps", [("C", [[1]]), ("CA", [[1], []])],
+                         ids=["one-factor", "two-factors"])
+def test_char_product_checks_its_first_factor(symbols, comps):
+    # chi_(1) of sp_4 has 4 terms; a product that starts from it, even with
+    # no other factor, is over a term cap of 3
+    spec = DiagramSpec(symbols, [1] * len(comps))
+    with limits.overridden({"term_cap": 3}):
+        with pytest.raises(LimitExceeded,
+                           match="^polynomial product exceeds term cap 3$"):
+            char_product(MultiPartition(comps, spec.sizes), spec, 2)
+
+
+def test_elem_sym_checks_its_cap_whatever_the_cache_holds():
+    # e_3 of 22 letters: 1540 subsets, 1342 distinct exponents
+    characters._elem_sym.cache_clear()
+    message = "^e_3 of 22 letters has 1540 subsets, above enum_cap 1000$"
+    with limits.overridden({"enum_cap": 1000}):
+        with pytest.raises(LimitExceeded, match=message):
+            elem_sym(3, "C", 11)
+    assert len(elem_sym(3, "C", 11).terms) == 1342
+    with limits.overridden({"enum_cap": 1000}):
+        with pytest.raises(LimitExceeded, match=message):
+            elem_sym(3, "C", 11)
+
+
+def test_E_map_of_many_variables():
+    # 1,500 column heights: one table entry per prefix, no frame per height
+    p = LaurentPolynomial.monomial((1,) * 1500)
+    assert E_map(p, "A", 1) == LaurentPolynomial.monomial((1500,))
 
 
 def _column_heights(n, m):

@@ -127,8 +127,6 @@ def test_trusted_call_sites_are_listed():
 RECURSIVE_CLOSURES = {
     ("characters", "_det.minor"):
         "one frame per matrix row; a stack walk needs its own design",
-    ("characters", "_elem_products.product"):
-        "one frame per column height; the sweeps check the rank first",
 }
 
 
@@ -151,3 +149,48 @@ def test_recursive_closures_are_listed():
         found.update(_recursive_closures(ast.parse(path.read_text()),
                                          path.stem))
     assert found == set(RECURSIVE_CLOSURES)
+
+
+# Every module-level function memoized for the life of the process by
+# functools.lru_cache or cache, as (module, name), with the reason its
+# table may stay.  Each grows with the distinct arguments a process asks
+# for; a table that one call can drop when it returns belongs to that call
+# instead, as the sweeps' tables do.  A new one must be listed here.
+PROCESS_CACHES = {
+    ("bicrystal", "_king_f_map"):
+        "the King operator map of one (index, m), shared by every tableau",
+    ("characters", "_elem_sym"):
+        "e_k of (family, n), behind elem_sym's enum_cap check",
+    ("characters", "_weyl_character_cached"):
+        "one alternant quotient per (lam, family, rank)",
+    ("cli", "_build_parser"):
+        "the argparse parser, built once per process on first use",
+    ("crystals", "_f_map"):
+        "the crystal operator map of one (i, n), shared by every element",
+    ("partfn", "_counter_for"):
+        "the Kostant counter of one root list, with its memo",
+    ("partfn", "_complement_counter"):
+        "the Kostant counter of one block complement, with its memo",
+    ("weyl", "enumerate_weyl"):
+        "the Weyl group elements of one root system",
+    ("weyl", "positive_roots"):
+        "the positive roots of one root system",
+}
+
+
+def _memoizes(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        decorator = decorator.attr
+    elif isinstance(decorator, ast.Name):
+        decorator = decorator.id
+    return decorator in ("lru_cache", "cache")
+
+
+def test_process_caches_are_listed():
+    found = {(path.stem, node.name) for path in MODULES
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef)
+             and any(map(_memoizes, node.decorator_list))}
+    assert found == set(PROCESS_CACHES)

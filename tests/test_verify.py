@@ -154,6 +154,40 @@ def test_generalized_duality_report():
     assert rep["cells"] > 0
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a: calls.append(a) or f(*a))
+    return calls
+
+
+def test_generalized_builds_each_block_factor_once(monkeypatch):
+    # (1, 1, 4) meets the components (), (1), ..., (4) on both symbols:
+    # 5 Schur and 5 Weyl factors and 10 decompositions, where one per
+    # multipartition would be 14, 14 and 28
+    from howekit import characters, verify
+    schur = _counting(monkeypatch, characters, "schur_folded")
+    weyl_ = _counting(monkeypatch, characters, "weyl_character")
+    decs = _counting(monkeypatch, verify, "decompose")
+    rep = verify_generalized_duality(1, 1, 4)
+    assert (rep["cells"], rep["failures"]) == (108, [])
+    assert len(decs) == 10
+    assert sorted(c.stripped() for c, _ in schur) == [
+        (), (1,), (2,), (3,), (4,)]
+    assert sorted(c.stripped() for c, _, _ in weyl_) == [
+        (), (1,), (2,), (3,), (4,)]
+
+
+def test_generalized_builds_each_hat_once(monkeypatch):
+    # one call per (k, lam) over the 1 x k rectangles, k = 1..4: 2+3+4+5
+    from howekit import verify
+    calls = _counting(monkeypatch, verify, "hat")
+    rep = verify_generalized_duality(1, 1, 4)
+    assert (rep["cells"], rep["failures"]) == (108, [])
+    assert len(calls) == len(set(calls)) == 14
+
+
 def _off_by_one(monkeypatch):
     from howekit import verify
     for name in ("weight_multiplicity", "branching_coefficient"):
