@@ -83,21 +83,23 @@ def E_map(p, family, n):
 def _elem_products(family, n):
     """A function from a tuple of column heights c to e_{c_1}...e_{c_k}.
 
-    Products are taken left to right and kept for every prefix, as is each
-    e_k, so heights sharing a prefix share its multiplications.  The tables
-    live as long as the returned function: one sweep.
+    Products are taken left to right and kept for every prefix, keyed by
+    its parent's index and its last height, and so is each e_k: heights
+    sharing a prefix share its multiplications.  The tables live as long
+    as the returned function: one sweep.
     """
-    table = {(): LaurentPolynomial.one(n)}
+    table = {}  # (parent index, last height) -> (index, product); () is 0
     elem = lru_cache(maxsize=None)(lambda k: elem_sym(k, family, n))
+    one = LaurentPolynomial.one(n)
 
     def product(heights):
-        # walk back to the longest prefix in the table, then forward
-        end = len(heights)
-        while heights[:end] not in table:
-            end -= 1
-        for i in range(end, len(heights)):
-            table[heights[:i + 1]] = table[heights[:i]] * elem(heights[i])
-        return table[heights]
+        at, poly = 0, one
+        for h in heights:
+            got = table.get((at, h))
+            if got is None:
+                got = table[at, h] = len(table) + 1, poly * elem(h)
+            at, poly = got
+        return poly
 
     return product
 

@@ -8,10 +8,11 @@ it sit the alternating Weyl sums: Kostant's weight multiplicity formula
 and the branching rule for block-diagonal subalgebras g_(X,k) of sp_2m.
 """
 
+import itertools
 from collections import defaultdict
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
-from operator import add
+from operator import add, sub
 
 from ._value import Value
 from .errors import HowekitError, LimitExceeded
@@ -54,12 +55,8 @@ class DiagramSpec(Value):
 
     def block_ranges(self):
         """0-based half-open coordinate ranges, one per block."""
-        out = []
-        start = 0
-        for k in self.sizes:
-            out.append((start, start + k))
-            start += k
-        return out
+        return [(end - k, end) for k, end in
+                zip(self.sizes, itertools.accumulate(self.sizes))]
 
     def block_roots(self):
         """The root subset R_(X,k) as vectors in Z^m."""
@@ -188,40 +185,71 @@ def restricted_partition(spec, beta):
     return kostant_partition(spec.complement_roots(), beta)
 
 
-def _weyl_sum(count, lam, mu, id):
-    """sum_w eps(w) count(w(lam + rho) - (mu + rho)) over the Weyl group.
+@cache
+def _moves(m):
+    """Each increasing tuple free of unplaced coordinates of Z^m, mapped
+    to [(j, rest, odd)] for j in free: rest is free without j, and odd
+    whether taking j past the smaller ones adds an odd inversion count."""
+    return {free: [(j, free[:i] + free[i + 1:], i & 1)
+                   for i, j in enumerate(free)]
+            for size in range(m + 1)
+            for free in itertools.combinations(range(m), size)}
 
-    w runs over the signed permutations (type C) or the plain
-    permutations (type A) of a normalized id = (family, m).  count must
-    vanish outside the cone spanned by the positive roots of A_{m-1} or
-    C_m.  Every such root lies in {x : x_1 + ... + x_k >= 0 for all k}, so
-    w is built one coordinate at a time, its sign carried along, and a
-    prefix is cut as soon as a partial sum of the argument goes negative:
-    every term it would reach has count 0.
+
+def _weyl_sum(count, shifted, target, signed):
+    """sum_w eps(w) count(w(shifted) - target) over the Weyl group, for
+    shifted = lam + rho (lam dominant) and target = mu + rho.
+
+    w runs over the signed permutations if signed (type C; shifted is then
+    positive), else over the plain ones.  count must vanish outside the
+    cone spanned by the positive roots of A_{m-1} or C_m.  Every such root
+    lies in {x : x_1 + ... + x_k >= 0 for all k}, so w is built one
+    coordinate at a time, its sign carried along, and a prefix is cut as
+    soon as a partial sum of the argument goes negative: every term it
+    would reach has count 0.
     """
-    r = weyl.rho(id)
-    shifted = tuple(map(add, lam, r))
-    target = tuple(map(add, mu, r))
-    m = len(r)
-    flips = (1, -1) if id[0] == "C" else (1,)
+    moves = _moves(len(shifted))
+    last = len(shifted) - 1
     total = 0
-    # entries: (argument prefix, unplaced input coordinates in increasing
-    # order, prefix sum, sign); taking free[idx] adds idx inversions
-    stack = [((), tuple(range(m)), 0, 1)]
+    # entries: (argument prefix, unplaced input coordinates, prefix sum,
+    # sign); a coordinate of value v may come next where v >= low
+    stack = [((), tuple(range(last + 1)), 0, 1)]
     while stack:
         arg, free, partial, eps = stack.pop()
         i = len(arg)
-        if i == m:
-            total += eps * count(arg)
-            continue
         t = target[i]
-        for idx, j in enumerate(free):
-            rest = free[:idx] + free[idx + 1:]
-            e = -eps if idx & 1 else eps
-            for f in flips:
-                x = f * shifted[j] - t
-                if partial + x >= 0:
-                    stack.append((arg + (x,), rest, partial + x, f * e))
+        low = t - partial
+        if i == last:  # one coordinate left: count the leaves here
+            v = shifted[free[0]]
+            if v >= low:
+                total += eps * count(arg + (v - t,))
+            if signed and -v >= low:
+                total -= eps * count(arg + (-v - t,))
+            continue
+        for j, rest, odd in moves[free]:
+            v = shifted[j]
+            if v >= low:
+                e = -eps if odd else eps
+                stack.append((arg + (v - t,), rest, v - low, e))
+                if signed and -v >= low:
+                    stack.append((arg + (-v - t,), rest, -v - low, -e))
+    return total
+
+
+def _plus_rho(v, id):
+    return tuple(map(add, v, weyl.rho(id)))
+
+
+def _kostant_sum(count, shifted, target, family, branching=False):
+    """_weyl_sum of type family, a multiplicity: HowekitError if it is
+    negative, naming lam = shifted - rho (and mu = target - rho)."""
+    total = _weyl_sum(count, shifted, target, family == "C")
+    if total < 0:
+        lam, mu = (tuple(map(sub, v, weyl.rho((family, len(v)))))
+                   for v in (shifted, target))
+        raise HowekitError(
+            "negative branching coefficient for %r" % (lam,) if branching
+            else "negative weight multiplicity for %r, %r" % (lam, mu))
     return total
 
 
@@ -231,16 +259,8 @@ def weight_multiplicity(id, lam, mu):
     lam = weyl.check_dominant(lam, id)
     mu = check_weight(mu, m)
     weyl.check_rank(id)
-    total = _weyl_sum(_counter_for(weyl.positive_roots(id), m).count, lam, mu,
-                      (family, m))
-    if total < 0:
-        raise HowekitError("negative weight multiplicity for %r, %r" % (lam, mu))
-    return total
-
-
-@lru_cache(maxsize=None)
-def _complement_counter(spec):
-    return _counter_for(spec.complement_roots(), spec.total())
+    return _kostant_sum(_counter_for(weyl.positive_roots(id), m).count,
+                        _plus_rho(lam, id), _plus_rho(mu, id), family)
 
 
 def branching_coefficient(kappa, spec, nu):
@@ -263,7 +283,6 @@ def branching_coefficient(kappa, spec, nu):
         nu_vec = nu.flatten()
     else:
         nu_vec = check_weight(nu, m)
-    total = _weyl_sum(_complement_counter(spec).count, kappa, nu_vec, ("C", m))
-    if total < 0:
-        raise HowekitError("negative branching coefficient for %r" % (kappa,))
-    return total
+    id = weyl.check_rank(("C", m))
+    return _kostant_sum(_counter_for(spec.complement_roots(), m).count,
+                        _plus_rho(kappa, id), _plus_rho(nu_vec, id), "C", True)

@@ -31,10 +31,11 @@ from .crystals import (_highest_weight_elements, crystal_e, enumerate_B,
                        weight_of)
 from .duality import king_tableaux_by_weight, star_pairing
 from .errors import HowekitError, LimitExceeded
-from .partfn import DiagramSpec, branching_coefficient, weight_multiplicity
+from .partfn import (DiagramSpec, _counter_for, _kostant_sum, _plus_rho,
+                     branching_coefficient)
 from .partitions import (MultiPartition, Partition, conjugate,
                          enumerate_rectangle, hat, hat_multi)
-from .weyl import check_rank
+from .weyl import check_rank, positive_roots
 
 
 def _reported(sweep):
@@ -158,23 +159,24 @@ def _duality_sweep(family, n, m):
         for k in range(n + 1):
             _check_subsets(k, n if family == "A" else 2 * n)
     check_rank((family, m))  # every cell counts multiplicities at rank m
+    kostant = _counter_for(positive_roots((family, m)), m).count
     cols = {lam: conjugate(lam).padded(m) for lam in lams}
-    weights = cols if family == "A" else {
-        lam: hat(lam, n, m).padded(m) for lam in lams}
 
     def group(lam):
         return lam.size() if family == "A" else 0
 
-    compared = {}
+    compared = {}  # lam -> its weight on the multiplicity route, plus rho
     for lam in lams:
-        compared.setdefault(group(lam), {})[lam] = weights[lam]
+        compared.setdefault(group(lam), {})[lam] = _plus_rho(
+            cols[lam] if family == "A" else hat(lam, n, m).padded(m),
+            (family, m))
     product = _elem_products(family, n)
     for mu in lams:
         same = compared[group(mu)]
         dec = decompose(product(cols[mu]), family, n)
-        mu_w = weights[mu]
+        target = same[mu]
         yield len(same), _compare(
-            dec, same, lambda w: weight_multiplicity((family, m), w, mu_w),
+            dec, same, lambda w: _kostant_sum(kostant, w, target, family),
             {"mu": list(mu.stripped())}, "weight_mult")
 
 
@@ -207,14 +209,16 @@ def verify_generalized_duality(n, r_max, size_bound):
     n x size_j rectangle; each cell compares one (spec, mu, lam) triple.
     Each input coarser than a cell is built once, in a table that lives
     for this call: the block factors, the decomposition of each sequence
-    of (symbol, component) pairs, and hat(lam, n, k) for every lam of each
-    n x k rectangle the sweep meets.
+    of (symbol, component) pairs, and hat(lam, n, k), alone and plus the
+    rho of C_k, for every lam of each n x k rectangle the sweep meets.
     """
     if size_bound < 1:
         return
     # (2 size_bound)^r specs of r blocks, summed over r <= r_max
     _checked_count(itertools.accumulate(
         (2 * size_bound) ** r for r in range(1, r_max + 1)), "block shapes")
+    if r_max >= 1:
+        check_rank(("C", r_max * size_bound))  # the largest spec's rank
     specs = [DiagramSpec(symbols, sizes) for r in range(1, r_max + 1)
              for symbols in itertools.product("AC", repeat=r)
              for sizes in itertools.product(range(1, size_bound + 1),
@@ -224,18 +228,21 @@ def verify_generalized_duality(n, r_max, size_bound):
     tables = {}
 
     def hats(k):
-        # lam -> hat(lam, n, k) over the n x k rectangle, in its order
+        # {lam: hat(lam, n, k).parts} in rectangle order, and + rho(C_k)
         if k not in tables:
-            tables[k] = {lam: hat(lam, n, k) for lam in _rectangle(n, k)}
+            parts = {lam: hat(lam, n, k).parts for lam in _rectangle(n, k)}
+            tables[k] = parts, {lam: _plus_rho(p, ("C", k))
+                                for lam, p in parts.items()}
         return tables[k]
 
     for spec in specs:
-        lams = hats(spec.total())
-        rspec = spec.reversed()
+        m = spec.total()
+        lams = hats(m)[1]
         spec_tag = ["".join(spec.symbols), list(spec.sizes)]
-        pools = [hats(k) for k in spec.sizes]
+        pools = [hats(k)[0] for k in spec.sizes]
         count = _checked_count(itertools.accumulate(map(len, pools), mul),
                                "multipartitions")
+        kostant = _counter_for(spec.reversed().complement_roots(), m).count
         fails = []
         for comps in itertools.product(*pools):
             # the character route does not depend on the block sizes
@@ -243,11 +250,12 @@ def verify_generalized_duality(n, r_max, size_bound):
             if dec is None:
                 dec = decs[spec.symbols, comps] = decompose(
                     product(MultiPartition(comps, spec.sizes), spec), "C", n)
-            # hat_multi(mu, n).flatten(): a hat in n x k has k parts
-            nu_vec = sum((pool[c].parts
-                          for c, pool in zip(comps[::-1], pools[::-1])), ())
+            # hat_multi(mu, n).flatten() + rho: a hat in n x k has k parts
+            target = _plus_rho(sum((pool[c] for c, pool in zip(
+                comps[::-1], pools[::-1])), ()), ("C", m))
             fails += _compare(
-                dec, lams, lambda w: branching_coefficient(w, rspec, nu_vec),
+                dec, lams,
+                lambda w: _kostant_sum(kostant, w, target, "C", True),
                 {"spec": spec_tag,
                  "mu": [list(c.stripped()) for c in comps]},
                 "branch_route")
@@ -388,10 +396,9 @@ def injectivity_scan(spec, part_bound, n_bound):
     """
     if not isinstance(spec, DiagramSpec):
         spec = DiagramSpec(*spec)
-    all_c = all(s == "C" for s in spec.symbols)
-    parabolic = (len(spec.symbols) > 1 and spec.symbols[0] == "C"
-                 and all(s == "A" for s in spec.symbols[1:]))
-    if not (all_c or parabolic):
+    word = "".join(spec.symbols)
+    parabolic = len(word) > 1 and word == "C".ljust(len(word), "A")
+    if "A" in word and not parabolic:
         raise HowekitError(
             "scan needs all C blocks or one leading C block, got %r"
             % (spec.symbols,))
@@ -403,7 +410,10 @@ def injectivity_scan(spec, part_bound, n_bound):
         if total > limits.get_cap("enum_cap"):
             raise LimitExceeded("injectivity scan size %d exceeds enum_cap"
                                 % total)
+    check_rank(("C", m))
     kappas, *pools = (list(enumerate_rectangle(a, b)) for a, b in rects)
+    kostant = _counter_for(hspec.complement_roots(), m).count
+    lifted = [_plus_rho(kap.padded(m), ("C", m)) for kap in kappas]
 
     classes = _position_classes(hspec, parabolic)
     reps = {}
@@ -415,8 +425,10 @@ def injectivity_scan(spec, part_bound, n_bound):
     groups = {}
     for key in sorted(reps):
         comps = reps[key]
-        nu = MultiPartition(comps, hspec.sizes)
-        vec = tuple(branching_coefficient(kap, hspec, nu) for kap in kappas)
+        target = _plus_rho(MultiPartition(comps, hspec.sizes).flatten(),
+                           ("C", m))
+        vec = tuple(_kostant_sum(kostant, kap, target, "C", True)
+                    for kap in lifted)
         groups.setdefault(vec, []).append(comps)
 
     yield len(reps), [{"mu_hat": [list(c.stripped()) for c in first],

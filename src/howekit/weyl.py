@@ -98,13 +98,10 @@ class WeylElement(Value):
         return WeylElement(perm, signs)
 
     def inverse(self):
-        m = len(self)
-        perm = [0] * m
-        signs = [1] * m
-        for i in range(m):
-            perm[self.perm[i] - 1] = i + 1
-            signs[self.perm[i] - 1] = self.signs[i]
-        return WeylElement(tuple(perm), tuple(signs))
+        # output coordinate k of the inverse is input coordinate perm^-1(k)
+        order = sorted(range(len(self)), key=self.perm.__getitem__)
+        return WeylElement([i + 1 for i in order],
+                           [self.signs[i] for i in order])
 
 
 def transposition(i, m):
@@ -172,10 +169,7 @@ def positive_roots(id):
     family, m = check_id(id)
 
     def root(i, j, s):
-        r = [0] * m
-        r[i] += 1
-        r[j] += s
-        return tuple(r)
+        return tuple((k == i) + s * (k == j) for k in range(m))
 
     roots = [root(i, j, -1) for i in range(m) for j in range(i + 1, m)]
     if family == "C":

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -493,6 +494,21 @@ def test_E_map_of_many_variables():
     # 1,500 column heights: one table entry per prefix, no frame per height
     p = LaurentPolynomial.monomial((1,) * 1500)
     assert E_map(p, "A", 1) == LaurentPolynomial.monomial((1500,))
+
+
+def test_E_map_table_keys_have_fixed_size():
+    # a prefix is keyed by its parent's index and its last height, so the
+    # table grows linearly in the number of heights (a key per prefix
+    # tuple peaked at 35.6 MB here)
+    p = LaurentPolynomial.monomial((1,) * 3000)
+    tracemalloc.start()
+    try:
+        got = E_map(p, "A", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == LaurentPolynomial.monomial((3000,))
+    assert peak < 8 * 2 ** 20
 
 
 def _column_heights(n, m):

@@ -498,3 +498,11 @@ def test_high_rank_duality_sweep_exits_two_at_once():
     # once per column
     assert _run_held(["verify-schur", "--n", "1", "--m", "1500"]) == (
         2, "", "error: rank 1500 above enumeration cap for type A\n")
+
+
+def test_branch_above_the_rank_cap_exits_two(capsys):
+    # the Weyl sum over 2^12 12! signed permutations is refused up front
+    rc, out, err = run(capsys, ["branch", "--symbols", "A", "--sizes", "12",
+                                "--kappa", "3,2,1", "--nu", "0," * 11 + "0"])
+    assert (rc, out, err) == (
+        2, "", "error: rank 12 above enumeration cap for type C\n")

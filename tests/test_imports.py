@@ -169,8 +169,9 @@ PROCESS_CACHES = {
         "the crystal operator map of one (i, n), shared by every element",
     ("partfn", "_counter_for"):
         "the Kostant counter of one root list, with its memo",
-    ("partfn", "_complement_counter"):
-        "the Kostant counter of one block complement, with its memo",
+    ("partfn", "_moves"):
+        "the Weyl-sum moves of one rank: at most 2^10 unplaced sets, since "
+        "every Weyl sum is rank-capped",
     ("weyl", "enumerate_weyl"):
         "the Weyl group elements of one root system",
     ("weyl", "positive_roots"):

@@ -5,6 +5,7 @@ enumeration of nonnegative root combinations, so the two routes share no
 code.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -16,7 +17,7 @@ from howekit import (DiagramSpec, HowekitError, LimitExceeded,
                      weyl_character)
 from howekit import limits, partfn
 from howekit.partitions import involution_I
-from howekit.weyl import (MAX_RANK, act, dot_rho, enumerate_weyl,
+from howekit.weyl import (MAX_RANK, WeylElement, enumerate_weyl,
                           positive_roots, rho, sign)
 
 
@@ -202,18 +203,30 @@ def test_branching_block_mismatch():
         branching_coefficient(Partition((1,)), spec, nu)
 
 
-def unpruned_branching(kappa, spec, nu_vec):
-    """The alternating sum over all of W(C_m), no term skipped."""
+@functools.cache
+def weyl_terms(id):
+    """(eps(w), w) for every w in W, w as the (input index, sign) pair of
+    each output coordinate, so that w(v) needs no validation."""
+    return [(sign(w), tuple((p - 1, s) for p, s in zip(w.perm, w.signs)))
+            for w in enumerate_weyl(id)]
+
+
+def unpruned_sum(count, id, shifted, target):
+    """sum_w eps(w) count(w(shifted) - target) over all of W, no term
+    skipped."""
+    return sum(eps * count(tuple(s * shifted[p] - t
+                                 for (p, s), t in zip(w, target)))
+               for eps, w in weyl_terms(id))
+
+
+def unpruned_branching(kappa, spec, nu_vec, count):
+    """The alternating sum over all of W(C_m), count being the partition
+    function of spec's complement roots."""
     m = spec.total()
     r = rho(("C", m))
     shifted = tuple(a + b for a, b in zip(kappa.padded(m), r))
     target = tuple(a + b for a, b in zip(nu_vec, r))
-    roots = spec.complement_roots()
-    total = 0
-    for w in enumerate_weyl(("C", m)):
-        arg = tuple(a - b for a, b in zip(act(w, shifted), target))
-        total += sign(w) * kostant_partition(roots, arg)
-    return total
+    return unpruned_sum(count, ("C", m), shifted, target)
 
 
 def partitions_in_box(rows, cols):
@@ -232,6 +245,7 @@ def test_branching_pruned_sum_matches_unpruned():
     assert DiagramSpec("C", (2,)).complement_roots() == ()
     for spec in specs:
         m = spec.total()
+        count = partfn._Counter(spec.complement_roots(), m).count
         multis = [MultiPartition(parts, blocks=spec.sizes)
                   for parts in itertools.product(
                       *(partitions_in_box(k, 1) for k in spec.sizes))]
@@ -240,7 +254,7 @@ def test_branching_pruned_sum_matches_unpruned():
         for kappa in partitions_in_box(min(m, 2), 2):
             for nu in multis + raws:
                 vec = nu.flatten() if isinstance(nu, MultiPartition) else nu
-                want = unpruned_branching(kappa, spec, vec)
+                want = unpruned_branching(kappa, spec, vec, count)
                 if want < 0:
                     with pytest.raises(HowekitError):
                         branching_coefficient(kappa, spec, nu)
@@ -249,14 +263,12 @@ def test_branching_pruned_sum_matches_unpruned():
                         (spec, kappa, nu)
 
 
-def unpruned_weight_multiplicity(id, lam, mu):
-    """Kostant's alternating sum over all of W, no term skipped."""
-    roots = positive_roots(id)
-    total = 0
-    for w in enumerate_weyl(id):
-        arg = tuple(a - b for a, b in zip(dot_rho(w, lam, id), mu))
-        total += sign(w) * kostant_partition(roots, arg)
-    return total
+def unpruned_weight_multiplicity(id, lam, mu, count):
+    """Kostant's alternating sum over all of W, no term skipped, count
+    being the partition function of id's positive roots."""
+    r = rho(id)
+    return unpruned_sum(count, id, tuple(a + b for a, b in zip(lam, r)),
+                        tuple(a + b for a, b in zip(mu, r)))
 
 
 def test_weight_multiplicity_pruned_sum_matches_unpruned():
@@ -264,13 +276,14 @@ def test_weight_multiplicity_pruned_sum_matches_unpruned():
                                (("A", 3), 2, 2), (("C", 1), 3, 3),
                                (("C", 2), 3, 3)):
         m = id[1]
+        count = partfn._Counter(positive_roots(id), m).count
         # every mu in the box, non-dominant and negative entries included
         mus = list(itertools.product(range(-span, span + 1), repeat=m))
         nonzero = 0
         for lam in partitions_in_box(m, part_max):
             vec = lam.padded(m)
             for mu in mus:
-                want = unpruned_weight_multiplicity(id, vec, mu)
+                want = unpruned_weight_multiplicity(id, vec, mu, count)
                 assert weight_multiplicity(id, lam, mu) == want, (id, lam, mu)
                 nonzero += want != 0
         assert nonzero > len(mus) // 4, id
@@ -281,3 +294,58 @@ def test_weight_multiplicity_rank_cap():
     with pytest.raises(LimitExceeded,
                        match="^rank 11 above enumeration cap for type A$"):
         weight_multiplicity(("A", m), Partition((1,)), (1,) + (0,) * (m - 1))
+
+
+def test_branching_rank_cap_before_any_count(monkeypatch):
+    # the Weyl sum at C_12 would walk 2^12 12! signed permutations
+    counts = []
+    monkeypatch.setattr(partfn._Counter, "count",
+                        lambda self, beta: counts.append(beta))
+    with pytest.raises(LimitExceeded,
+                       match="^rank 12 above enumeration cap for type C$"):
+        branching_coefficient(Partition((3, 2, 1)), DiagramSpec("A", (12,)),
+                              (0,) * 12)
+    assert counts == []
+
+
+def test_moves_list_every_choice_with_its_parity():
+    for m in range(1, 5):
+        moves = partfn._moves(m)
+        assert sorted(moves) == sorted(
+            free for size in range(m + 1)
+            for free in itertools.combinations(range(m), size))
+        for free, choices in moves.items():
+            # taking j passes the smaller unplaced coordinates
+            assert choices == [(j, tuple(x for x in free if x != j),
+                                sum(x < j for x in free) % 2) for j in free]
+        for perm in itertools.permutations(range(m)):
+            free, odd = tuple(range(m)), 0
+            for j in perm:
+                (rest, parity), = [(r, p) for k, r, p in moves[free]
+                                   if k == j]
+                free, odd = rest, odd + parity
+            assert free == ()
+            assert sign(WeylElement([j + 1 for j in perm])) == (-1) ** odd
+
+
+def negative_at_zero(monkeypatch):
+    # -1 at the zero vector alone: lam = mu makes the identity term the one
+    # negative term, since w(lam + rho) = lam + rho only for w = 1
+    monkeypatch.setattr(partfn._Counter, "count",
+                        lambda self, beta: 0 if any(beta) else -1)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (weight_multiplicity, (("C", 2), (1, 0), (1, 0)),
+     "negative weight multiplicity for (1, 0), (1, 0)"),
+    (weight_multiplicity, (("A", 2), Partition((2, 1)), (2, 1)),
+     "negative weight multiplicity for (2, 1), (2, 1)"),
+    (branching_coefficient, (Partition((1,)), DiagramSpec("AA", (1, 1)),
+                             MultiPartition([[1], []], blocks=[1, 1])),
+     "negative branching coefficient for (1, 0)"),
+], ids=["weight-C", "weight-A", "branching"])
+def test_negative_sum_raises(monkeypatch, call, args, message):
+    negative_at_zero(monkeypatch)
+    with pytest.raises(HowekitError) as info:
+        call(*args)
+    assert str(info.value) == message

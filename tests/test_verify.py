@@ -14,6 +14,7 @@ from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
                      verify_contraction, verify_generalized_duality,
                      verify_howe_duality, verify_jdt, verify_schur_duality,
                      weight_multiplicity)
+from howekit.weyl import positive_roots
 
 
 def test_report_shape():
@@ -188,11 +189,69 @@ def test_generalized_builds_each_hat_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 14
 
 
-def _off_by_one(monkeypatch):
+def test_generalized_fetches_each_complement_counter_once(monkeypatch):
+    # one counter per spec: 2 symbols x 4 sizes, where one per cell would
+    # be 108
     from howekit import verify
-    for name in ("weight_multiplicity", "branching_coefficient"):
-        monkeypatch.setattr(verify, name,
-                            lambda *a, f=getattr(verify, name): f(*a) + 1)
+    calls = _counting(monkeypatch, verify, "_counter_for")
+    rep = verify_generalized_duality(1, 1, 4)
+    assert (rep["cells"], rep["failures"]) == (108, [])
+    assert calls == [(DiagramSpec(s, (k,)).complement_roots(), k)
+                     for s in "AC" for k in range(1, 5)]
+
+
+def test_duality_sweep_fetches_its_counter_once(monkeypatch):
+    # every cell counts over the positive roots of gl_4, where one fetch
+    # per cell would be 390
+    from howekit import verify
+    calls = _counting(monkeypatch, verify, "_counter_for")
+    rep = verify_schur_duality(4, 4)
+    assert (rep["cells"], rep["failures"]) == (390, [])
+    assert calls == [(positive_roots(("A", 4)), 4)]
+
+
+@pytest.mark.parametrize("sweep, args, message", [
+    (verify_schur_duality, (1, 1),
+     "negative weight multiplicity for (0,), (0,)"),
+    (verify_howe_duality, (1, 1),
+     "negative weight multiplicity for (1,), (1,)"),
+    (verify_generalized_duality, (1, 1, 1),
+     "negative branching coefficient for (1,)"),
+    (injectivity_scan, (DiagramSpec("CA", (1, 1)), 1, 1),
+     "negative branching coefficient for (0, 0)"),
+], ids=["schur", "howe", "generalized", "injectivity"])
+def test_sweeps_raise_on_a_negative_sum(monkeypatch, sweep, args, message):
+    # -1 at the zero vector alone: the cell with lam = mu sums to -1
+    from howekit import partfn
+    monkeypatch.setattr(partfn._Counter, "count",
+                        lambda self, beta: 0 if any(beta) else -1)
+    with pytest.raises(HowekitError) as info:
+        sweep(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("sweep, args", [
+    # 6 + 36 + 216 block shapes, the largest of rank 3 x 3
+    (verify_generalized_duality, (1, 3, 3)),
+    (injectivity_scan, (DiagramSpec("C", (9,)), 0, 0)),
+], ids=["generalized", "injectivity"])
+def test_branching_sweeps_check_the_rank_before_any_count(monkeypatch, sweep,
+                                                          args):
+    from howekit import partfn
+    counts = []
+    monkeypatch.setattr(partfn._Counter, "count",
+                        lambda self, beta: counts.append(beta))
+    with pytest.raises(LimitExceeded,
+                       match="^rank 9 above enumeration cap for type C$"):
+        sweep(*args)
+    assert counts == []
+
+
+def _off_by_one(monkeypatch):
+    # every weight multiplicity and branching coefficient of a sweep
+    from howekit import verify
+    monkeypatch.setattr(verify, "_kostant_sum",
+                        lambda *a, f=verify._kostant_sum: f(*a) + 1)
 
 
 def _extra_constituents(monkeypatch):
