@@ -19,8 +19,8 @@ from operator import add
 
 from . import limits, weyl
 from ._value import Value
-from .errors import HowekitError, LimitExceeded, NotACharacter
-from .laurent import LaurentPolynomial, _check_terms
+from .errors import LimitExceeded, NotACharacter
+from .laurent import LaurentPolynomial
 from .partitions import Partition, check_weight, conjugate, reduce_column_full
 
 
@@ -80,28 +80,36 @@ def E_map(p, family, n):
     return out
 
 
-def _elem_products(family, n):
-    """A function from a tuple of column heights c to e_{c_1}...e_{c_k}.
+def _products(n, factor):
+    """A function from a tuple of keys k to factor(k_1)*...*factor(k_r) in
+    n variables.
 
-    Products are taken left to right and kept for every prefix, keyed by
-    its parent's index and its last height, and so is each e_k: heights
-    sharing a prefix share its multiplications.  The tables live as long
-    as the returned function: one sweep.
+    Products are taken left to right from one(n) and kept for every
+    prefix, keyed by its parent's index and its last key, and each factor
+    is built once: tuples sharing a prefix share its multiplications.  The
+    tables live as long as the returned function: one sweep.
     """
-    table = {}  # (parent index, last height) -> (index, product); () is 0
-    elem = lru_cache(maxsize=None)(lambda k: elem_sym(k, family, n))
+    table = {}  # (parent index, last key) -> (index, product); () is 0
+    factors = {}
     one = LaurentPolynomial.one(n)
 
-    def product(heights):
+    def product(keys):
         at, poly = 0, one
-        for h in heights:
-            got = table.get((at, h))
+        for k in keys:
+            got = table.get((at, k))
             if got is None:
-                got = table[at, h] = len(table) + 1, poly * elem(h)
+                if k not in factors:
+                    factors[k] = factor(k)
+                got = table[at, k] = len(table) + 1, poly * factors[k]
             at, poly = got
         return poly
 
     return product
+
+
+def _elem_products(family, n):
+    """_products over column heights c: e_{c_1}...e_{c_k}."""
+    return _products(n, lambda k: elem_sym(k, family, n))
 
 
 def delta_product(family, m):
@@ -348,16 +356,11 @@ def decompose(p, family, rank):
         if got is not None:
             s, eta = got
             strict[eta] = strict.get(eta, 0) + s * coef
-    cap = limits.get_cap("decompose_cap")
     mults = {}
-    steps = 0
     for eta in sorted(strict, reverse=True):
         coef = strict[eta]
         if not coef:
             continue
-        steps += 1
-        if steps > cap:
-            raise HowekitError("decompose exceeded %d peeling steps" % cap)
         top = tuple(a - b for a, b in zip(eta, r))
         if coef < 0:
             raise NotACharacter("negative multiplicity %d at %r" % (coef, top))
@@ -385,32 +388,10 @@ def schur_folded(delta, n):
 
 
 def _char_products(n):
-    """A function (mu, spec) -> char_product(mu, spec, n) that keeps the
-    block factors in a table keyed by (symbol, component), which lives as
-    long as the function: one sweep.  A product starts from its first
-    factor, checked against term_cap as one(n) * factor would be."""
-    factors = {}
-
-    def product(mu, spec):
-        if len(mu) != len(spec.symbols):
-            raise ValueError("multipartition has %d components, spec has %d "
-                             "blocks" % (len(mu), len(spec.symbols)))
-        out = None
-        for comp, sym, size in zip(mu.components, spec.symbols, spec.sizes):
-            if not comp.fits_in(n, size):
-                raise ValueError("component %r does not fit in %d x %d"
-                                 % (comp.stripped(), n, size))
-            factor = factors.get((sym, comp))
-            if factor is None:
-                factor = factors[sym, comp] = (
-                    weyl_character(comp, "C", n) if sym == "C"
-                    else schur_folded(comp, n))
-            if out is None:
-                _check_terms(len(factor.terms), limits.get_cap("term_cap"))
-            out = factor if out is None else out * factor
-        return out
-
-    return product
+    """_products over (symbol, component) keys: a C key gives the sp_2n
+    character of the component, an A key its folded Schur polynomial."""
+    return _products(n, lambda key: weyl_character(key[1], "C", n)
+                     if key[0] == "C" else schur_folded(key[1], n))
 
 
 def char_product(mu, spec, n):
@@ -419,6 +400,14 @@ def char_product(mu, spec, n):
     spec is the X-sequence with block sizes (the tensor-side order); C
     factors are sp_2n characters, A factors are 2n-variable Schur
     polynomials folded at (x, 1/x).  Component j must fit in the
-    n x (size_j) rectangle.
+    n x (size_j) rectangle.  Every input is checked before any factor is
+    built.
     """
-    return _char_products(n)(mu, spec)
+    if mu.blocks != spec.sizes:
+        raise ValueError("mu blocks %r do not match spec sizes %r"
+                         % (mu.blocks, spec.sizes))
+    for comp, size in zip(mu.components, spec.sizes):
+        if not comp.fits_in(n, size):
+            raise ValueError("component %r does not fit in %d x %d"
+                             % (comp.stripped(), n, size))
+    return _char_products(n)(tuple(zip(spec.symbols, mu.components)))

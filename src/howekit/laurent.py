@@ -12,12 +12,6 @@ from ._value import Value
 from .errors import HowekitError, LimitExceeded
 
 
-def _check_terms(count, cap):
-    """Raise LimitExceeded when a product holds more than cap terms."""
-    if count > cap:
-        raise LimitExceeded("polynomial product exceeds term cap %d" % cap)
-
-
 class LaurentPolynomial(Value):
     __slots__ = ("nvars", "terms")
 
@@ -130,7 +124,9 @@ class LaurentPolynomial(Value):
                     out[key] = c
                 else:
                     del out[key]
-            _check_terms(len(out), cap)
+            if len(out) > cap:
+                raise LimitExceeded("polynomial product exceeds term cap %d"
+                                    % cap)
         return LaurentPolynomial._trusted(self.nvars, out)
 
     __rmul__ = __mul__

@@ -3,7 +3,9 @@
 All caps are process-wide and may be overridden programmatically (set_cap,
 or overridden for one with block), through a key=value config file for one
 cli command, or, for the polynomial term cap, through the environment
-variable HOWEKIT_TERM_CAP.
+variable HOWEKIT_TERM_CAP.  decompose() has no cap, being one pass over
+its input's terms, and neither has exact division, whose quotient's box
+bounds its loop.
 """
 
 import os
@@ -19,9 +21,6 @@ _DEFAULTS = {
     # first-coordinate shifts a Kostant partition count may try, and of the
     # items in each list a verification sweep builds
     "enum_cap": 10_000_000,
-    # maximum number of constituents (peeling steps) decompose() reads off;
-    # exact division needs no cap, its quotient's box bounds the loop
-    "decompose_cap": 1_000_000,
 }
 
 _overrides: dict = {}

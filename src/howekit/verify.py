@@ -208,8 +208,8 @@ def verify_generalized_duality(n, r_max, size_bound):
     up to size_bound, and all multipartitions with component j inside the
     n x size_j rectangle; each cell compares one (spec, mu, lam) triple.
     Each input coarser than a cell is built once, in a table that lives
-    for this call: the block factors, the decomposition of each sequence
-    of (symbol, component) pairs, and hat(lam, n, k), alone and plus the
+    for this call: the block factors and their left-to-right products,
+    the decomposition of each sequence of (symbol, component) pairs, and hat(lam, n, k), alone and plus the
     rho of C_k, for every lam of each n x k rectangle the sweep meets.
     """
     if size_bound < 1:
@@ -246,10 +246,10 @@ def verify_generalized_duality(n, r_max, size_bound):
         fails = []
         for comps in itertools.product(*pools):
             # the character route does not depend on the block sizes
-            dec = decs.get((spec.symbols, comps))
+            key = tuple(zip(spec.symbols, comps))
+            dec = decs.get(key)
             if dec is None:
-                dec = decs[spec.symbols, comps] = decompose(
-                    product(MultiPartition(comps, spec.sizes), spec), "C", n)
+                dec = decs[key] = decompose(product(key), "C", n)
             # hat_multi(mu, n).flatten() + rho: a hat in n x k has k parts
             target = _plus_rho(sum((pool[c] for c, pool in zip(
                 comps[::-1], pools[::-1])), ()), ("C", m))

@@ -124,9 +124,9 @@ def act(w, v):
     return tuple(w.signs[i] * v[w.perm[i] - 1] for i in range(len(w)))
 
 
-@lru_cache(maxsize=None)
 def enumerate_weyl(id):
-    """All elements of the Weyl group, deterministically ordered."""
+    """All elements of the Weyl group, deterministically ordered, built
+    anew on each call: no cache pins a group of up to 10 M elements."""
     family, m = check_rank(id)
     signs = (list(itertools.product((1, -1), repeat=m)) if family == "C"
              else [None])

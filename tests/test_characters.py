@@ -39,18 +39,18 @@ def count_ssyt(lam, n):
     return rec(0, None)
 
 
-def peel_oracle(p, family, rank, cap=None):
+def peel_oracle(p, family, rank):
     """decompose by peeling: subtract the character of the lex-greatest
-    exponent until nothing is left.  Assumes p is W-invariant."""
-    if cap is None:
-        cap = limits.get_cap("decompose_cap")
+    exponent until nothing is left.  Assumes p is W-invariant.  Each step
+    peels one constituent, and p has at most len(p.terms) of them, since
+    decompose reads each off at least one term of p."""
     mults = {}
     q = p
     steps = 0
     while not q.is_zero():
         steps += 1
-        if steps > cap:
-            raise HowekitError("decompose exceeded %d peeling steps" % cap)
+        if steps > len(p.terms):
+            raise HowekitError("peeling exceeded %d steps" % len(p.terms))
         top = q.lex_max()
         coef = q.terms[top]
         if coef < 0:
@@ -72,10 +72,10 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def both(p, family, rank, cap=None):
+def both(p, family, rank):
     """The outcomes of decompose and of the peeling oracle on p."""
     new = outcome(lambda: dict(decompose(p, family, rank).items()))
-    old = outcome(lambda: peel_oracle(p, family, rank, cap))
+    old = outcome(lambda: peel_oracle(p, family, rank))
     return new, old
 
 
@@ -321,24 +321,6 @@ def test_decompose_matches_peeling_on_negative_shifts():
         NotACharacter, "leading exponent (0, -1) is not a partition")
 
 
-def test_decompose_cap_counts_constituents_like_peeling():
-    lams = [(2, 1), (2,), (1, 1), (1,), ()]
-    for fam in ("A", "C"):
-        p = LaurentPolynomial.zero(2)
-        for lam in lams:
-            p = p + weyl_character(Partition(lam), fam, 2)
-        k = len(lams)
-        for cap in (k - 1, k):
-            with limits.overridden({"decompose_cap": cap}):
-                new = outcome(lambda: dict(decompose(p, fam, 2).items()))
-            assert new == outcome(lambda: peel_oracle(p, fam, 2, cap))
-        assert new == {Partition(lam): 1 for lam in lams}
-        with limits.overridden({"decompose_cap": k - 1}):
-            with pytest.raises(HowekitError,
-                               match="decompose exceeded 4 peeling steps"):
-                decompose(p, fam, 2)
-
-
 def test_jacobi_trudi_checks_every_entry_before_building(monkeypatch):
     # each case trips on an entry that build order reaches after smaller
     # ones; with the cache cold, any entry built would enumerate subsets
@@ -461,8 +443,30 @@ def test_char_products_match_left_to_right_products():
                             naive = naive * (
                                 weyl_character(comp, "C", n) if sym == "C"
                                 else schur_folded(comp, n))
-                        assert product(mu, spec) == naive, (spec, mu)
+                        keys = tuple(zip(symbols, comps))
+                        assert product(keys) == naive, (spec, mu)
                         assert char_product(mu, spec, n) == naive
+
+
+@pytest.mark.parametrize("mu, spec, message", [
+    # the component fits in 2 x 2, but the spec's block has size 1
+    (MultiPartition([[1]], [2]), DiagramSpec("C", [1]),
+     r"^mu blocks \(2,\) do not match spec sizes \(1,\)$"),
+    (MultiPartition([[1]], [1]), DiagramSpec("CC", [1, 1]),
+     r"^mu blocks \(1,\) do not match spec sizes \(1, 1\)$"),
+    # the first component is fine, the second is not
+    (MultiPartition([[1], [3]], [1, 1]), DiagramSpec("CA", [1, 1]),
+     r"^component \(3,\) does not fit in 2 x 1$"),
+], ids=["block-size", "block-count", "second-component"])
+def test_char_product_checks_before_building(monkeypatch, mu, spec, message):
+    built = []
+    monkeypatch.setattr(characters, "weyl_character",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(characters, "schur_folded",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=message):
+        char_product(mu, spec, 2)
+    assert built == []
 
 
 @pytest.mark.parametrize("symbols, comps", [("C", [[1]]), ("CA", [[1], []])],

@@ -432,6 +432,19 @@ def test_config_lasts_one_call(capsys, tmp_path):
         limits.set_cap("term_cap", None)
 
 
+def test_decompose_has_no_cap(capsys, tmp_path):
+    # decompose is one pass over its input's terms, so there is no
+    # decompose_cap to set: a config naming it is refused like any unknown
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("decompose_cap = 5\n")
+    rc, out, err = run(capsys, ["product", "--symbols", "C", "--sizes", "2",
+                                "--mu", "2,1", "--n", "2",
+                                "--config", str(cfg)])
+    assert (rc, out, err) == (2, "", "error: unknown cap 'decompose_cap'\n")
+    with pytest.raises(KeyError, match="unknown cap 'decompose_cap'"):
+        limits.set_cap("decompose_cap", 5)
+
+
 def test_one_parser_and_no_state_between_calls(capsys):
     from howekit import cli
     from howekit.bicrystal import statistics

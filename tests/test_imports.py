@@ -172,8 +172,6 @@ PROCESS_CACHES = {
     ("partfn", "_moves"):
         "the Weyl-sum moves of one rank: at most 2^10 unplaced sets, since "
         "every Weyl sum is rank-capped",
-    ("weyl", "enumerate_weyl"):
-        "the Weyl group elements of one root system",
     ("weyl", "positive_roots"):
         "the positive roots of one root system",
 }

@@ -94,21 +94,17 @@ def test_exact_div_rejects_nondivisible():
 
 
 def test_exact_div_rejects_before_step_cap():
-    # the lex lower bound on quotient exponents, not the step cap,
-    # detects these inexact divisions within a few steps
+    # the lex lower bound on quotient exponents, not a step cap (there is
+    # none), detects these inexact divisions within a few steps
     from howekit import HowekitError
     one = LaurentPolynomial.one(1)
     x = mono((1,))
     x1, x2 = mono((1, 0)), mono((0, 1))
-    limits.set_cap("decompose_cap", 5)
-    try:
-        with pytest.raises(HowekitError, match="not exact"):
-            (x + one).exact_div(x - one)
-        with pytest.raises(HowekitError, match="not exact"):
-            (x1 + x2).exact_div(x1 - x2)
-        assert (x1 * x1 - x2 * x2).exact_div(x1 - x2) == x1 + x2
-    finally:
-        limits.set_cap("decompose_cap", None)
+    with pytest.raises(HowekitError, match="not exact"):
+        (x + one).exact_div(x - one)
+    with pytest.raises(HowekitError, match="not exact"):
+        (x1 + x2).exact_div(x1 - x2)
+    assert (x1 * x1 - x2 * x2).exact_div(x1 - x2) == x1 + x2
 
 
 def test_exact_div_box_stops_an_endless_descent():
@@ -122,12 +118,11 @@ def test_exact_div_box_stops_an_endless_descent():
 
 
 def test_cold_weyl_character_ignores_decompose_cap():
-    # exact division is bounded by its box, not by decompose_cap
+    # exact division is bounded by its box, not by any cap
     from howekit import Partition, weyl_character
     from howekit.characters import _weyl_character_cached
     _weyl_character_cached.cache_clear()
-    with limits.overridden({"decompose_cap": 3}):
-        chi = weyl_character(Partition((2, 1)), "A", 3)
+    chi = weyl_character(Partition((2, 1)), "A", 3)
     assert len(chi) == 7
     assert chi == weyl_character(Partition((2, 1)), "A", 3)
 

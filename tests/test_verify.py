@@ -180,6 +180,44 @@ def test_generalized_builds_each_block_factor_once(monkeypatch):
         (), (1,), (2,), (3,), (4,)]
 
 
+def test_generalized_multiplies_once_per_prefix(monkeypatch):
+    # (2, 2, 2) meets 156 sequences of (symbol, component) pairs over the 6
+    # partitions of the 2 x 2 rectangle: 12 factors, and every sequence of
+    # two extends one of one, so one product per sequence; a second pass
+    # over the same sequences is all table hits
+    from howekit import characters, verify
+    keys = {tuple(zip(symbols, comps)) for r in (1, 2)
+            for symbols in itertools.product("AC", repeat=r)
+            for sizes in itertools.product((1, 2), repeat=r)
+            for comps in itertools.product(
+                *(enumerate_rectangle(2, k) for k in sizes))}
+    prefixes = {key[:i] for key in keys for i in range(1, len(key) + 1)}
+    factors = {f: characters.weyl_character(f[1], "C", 2) if f[0] == "C"
+               else characters.schur_folded(f[1], 2)
+               for key in keys for f in key}
+    built, tables, muls = [], [], []
+    monkeypatch.setattr(characters, "weyl_character",
+                        lambda comp, family, n: built.append(("C", comp))
+                        or factors["C", comp])
+    monkeypatch.setattr(characters, "schur_folded",
+                        lambda comp, n: built.append(("A", comp))
+                        or factors["A", comp])
+    table = verify._char_products
+    monkeypatch.setattr(verify, "_char_products",
+                        lambda n: tables.append(table(n)) or tables[-1])
+    mul = LaurentPolynomial.__mul__
+    monkeypatch.setattr(LaurentPolynomial, "__mul__",
+                        lambda self, other: muls.append(1) or mul(self, other))
+    rep = verify_generalized_duality(2, 2, 2)
+    assert (rep["cells"], rep["failures"]) == (3906, [])
+    assert len(built) == len(set(built)) == len(factors) == 12
+    assert len(muls) == len(prefixes) == len(keys) == 156
+    assert len(tables) == 1
+    for key in keys:
+        tables[0](key)
+    assert len(muls) == 156
+
+
 def test_generalized_builds_each_hat_once(monkeypatch):
     # one call per (k, lam) over the 1 x k rectangles, k = 1..4: 2+3+4+5
     from howekit import verify
