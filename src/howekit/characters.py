@@ -12,10 +12,10 @@ e_{beta_1} ... e_{beta_m} of those blocks; applied to Delta_m * x^beta it
 produces the same determinant as the Jacobi-Trudi matrix.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from math import comb
-from operator import add
+from operator import add, mul
 
 from . import limits, weyl
 from ._value import Value
@@ -80,36 +80,92 @@ def E_map(p, family, n):
     return out
 
 
-def _products(n, factor):
-    """A function from a tuple of keys k to factor(k_1)*...*factor(k_r) in
-    n variables.
+def _products(factor, start, step, finish=None):
+    """A function from a tuple of keys k to the chain start, step(start,
+    factor(k_1)), ..., its last state passed through finish (if given).
 
-    Products are taken left to right from one(n) and kept for every
-    prefix, keyed by its parent's index and its last key, and each factor
-    is built once: tuples sharing a prefix share its multiplications.  The
-    tables live as long as the returned function: one sweep.
+    Steps are taken left to right and kept for every prefix, keyed by its
+    parent's index and its last key; each factor is built once, and each
+    tuple finished once, so tuples sharing a prefix share their steps.
+    The tables live as long as the returned function: one sweep.  Two
+    kinds of chain use it, both from _chain:
+
+    - a polynomial chain starts from one(n) and multiplies, so it returns
+      the product factor(k_1)*...*factor(k_r) (char_product, E_map);
+    - a decomposition chain holds {lam + rho: multiplicity} from {rho: 1}
+      and takes each factor by the Brauer-Klimyk rule (_klimyk), then
+      finishes into a CharacterDecomposition; it builds no product
+      polynomial, and the sweeps read their multiplicities from it.
     """
-    table = {}  # (parent index, last key) -> (index, product); () is 0
+    table = {}  # (parent index, last key) -> (index, state); () is 0
     factors = {}
-    one = LaurentPolynomial.one(n)
+    finished = {}
 
     def product(keys):
-        at, poly = 0, one
+        at, state = 0, start
         for k in keys:
             got = table.get((at, k))
             if got is None:
                 if k not in factors:
                     factors[k] = factor(k)
-                got = table[at, k] = len(table) + 1, poly * factors[k]
-            at, poly = got
-        return poly
+                got = table[at, k] = len(table) + 1, step(state, factors[k])
+            at, state = got
+        if finish is None:
+            return state
+        if at not in finished:
+            finished[at] = finish(state)
+        return finished[at]
 
     return product
 
 
-def _elem_products(family, n):
-    """_products over column heights c: e_{c_1}...e_{c_k}."""
-    return _products(n, lambda k: elem_sym(k, family, n))
+def _chain(family, n, decomposed):
+    """(start, step, finish) of a product chain of W-invariant factors in
+    n variables: polynomials, or decompositions into the characters of
+    family at rank n when decomposed.
+
+    Every factor of a decomposition chain is a character, so its product
+    is W-invariant by construction and no invariance check is made; the
+    finish keeps decompose's sign and partition checks and messages.
+    """
+    if not decomposed:
+        return LaurentPolynomial.one(n), mul, None
+    r = weyl.rho((family, n))
+    return {r: 1}, partial(_klimyk, family), partial(_constituents, r)
+
+
+def _klimyk(family, state, f):
+    """state * f for a W-invariant polynomial f, where state maps lam +
+    rho to the multiplicity of chi_lam: the Brauer-Klimyk rule
+
+        chi_lam * f = sum_e f[e] eps(w) chi_{w(lam + rho + e) - rho},
+
+    w sorting lam + rho + e into the dominant chamber (_to_chamber); a
+    term on a wall adds nothing.  The closed-form count of pairs,
+    len(state) * len(f), is checked against term_cap before any is
+    sorted.
+    """
+    terms = f.terms
+    cap = limits.get_cap("term_cap")
+    if len(state) * len(terms) > cap:
+        raise LimitExceeded("character step of %d constituents by %d terms "
+                            "exceeds term cap %d"
+                            % (len(state), len(terms), cap))
+    out = {}
+    for eta, mult in state.items():
+        for e, c in terms.items():
+            got = _to_chamber(tuple(map(add, eta, e)), family)
+            if got is not None:
+                s, nu = got
+                out[nu] = out.get(nu, 0) + s * mult * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def _elem_products(family, n, decomposed=False):
+    """_products over column heights c: e_{c_1}...e_{c_k}, or its
+    decomposition when decomposed."""
+    return _products(lambda k: elem_sym(k, family, n),
+                     *_chain(family, n, decomposed))
 
 
 def delta_product(family, m):
@@ -356,6 +412,15 @@ def decompose(p, family, rank):
         if got is not None:
             s, eta = got
             strict[eta] = strict.get(eta, 0) + s * coef
+    return _constituents(r, strict)
+
+
+def _constituents(r, strict):
+    """The CharacterDecomposition with multiplicity strict[eta] at eta -
+    r, for strictly dominant eta.  Constituents are checked in
+    lex-descending order, the order of peeling the greatest exponent:
+    NotACharacter when a multiplicity is negative or a constituent is not
+    a partition."""
     mults = {}
     for eta in sorted(strict, reverse=True):
         coef = strict[eta]
@@ -387,11 +452,13 @@ def schur_folded(delta, n):
                     for i, c in enumerate(cols, 1)], "C", n)
 
 
-def _char_products(n):
+def _char_products(n, decomposed=False):
     """_products over (symbol, component) keys: a C key gives the sp_2n
-    character of the component, an A key its folded Schur polynomial."""
-    return _products(n, lambda key: weyl_character(key[1], "C", n)
-                     if key[0] == "C" else schur_folded(key[1], n))
+    character of the component, an A key its folded Schur polynomial;
+    their product, or its sp_2n decomposition when decomposed."""
+    return _products(lambda key: weyl_character(key[1], "C", n)
+                     if key[0] == "C" else schur_folded(key[1], n),
+                     *_chain("C", n, decomposed))
 
 
 def char_product(mu, spec, n):
@@ -403,9 +470,7 @@ def char_product(mu, spec, n):
     n x (size_j) rectangle.  Every input is checked before any factor is
     built.
     """
-    if mu.blocks != spec.sizes:
-        raise ValueError("mu blocks %r do not match spec sizes %r"
-                         % (mu.blocks, spec.sizes))
+    spec.check_blocks(mu)
     for comp, size in zip(mu.components, spec.sizes):
         if not comp.fits_in(n, size):
             raise ValueError("component %r does not fit in %d x %d"

@@ -50,6 +50,12 @@ class DiagramSpec(Value):
     def total(self):
         return sum(self.sizes)
 
+    def check_blocks(self, mu):
+        """ValueError unless the multipartition mu has these block sizes."""
+        if mu.blocks != self.sizes:
+            raise ValueError("multipartition blocks %r do not match spec "
+                             "sizes %r" % (mu.blocks, self.sizes))
+
     def reversed(self):
         return DiagramSpec(tuple(reversed(self.symbols)), tuple(reversed(self.sizes)))
 
@@ -277,9 +283,7 @@ def branching_coefficient(kappa, spec, nu):
     m = spec.total()
     kappa = Partition(kappa).padded(m)
     if isinstance(nu, MultiPartition):
-        if nu.blocks != spec.sizes:
-            raise ValueError("nu blocks %r do not match spec sizes %r"
-                             % (nu.blocks, spec.sizes))
+        spec.check_blocks(nu)
         nu_vec = nu.flatten()
     else:
         nu_vec = check_weight(nu, m)

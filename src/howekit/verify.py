@@ -89,13 +89,11 @@ def _rectangle(n, m):
     return list(enumerate_rectangle(n, m))
 
 
-def _coerce_multi(mu, sizes):
+def _coerce_multi(mu, spec):
     if isinstance(mu, MultiPartition):
-        if mu.blocks != tuple(int(k) for k in sizes):
-            raise ValueError("multipartition blocks %r do not match sizes %r"
-                             % (mu.blocks, tuple(sizes)))
+        spec.check_blocks(mu)
         return mu
-    return MultiPartition(mu, sizes)
+    return MultiPartition(mu, spec.sizes)
 
 
 def multiplicity_char_route(lam, symbols, sizes, mu, n):
@@ -110,7 +108,9 @@ def multiplicity_char_route(lam, symbols, sizes, mu, n):
     1
     """
     spec = DiagramSpec(symbols, sizes)
-    mu = _coerce_multi(mu, spec.sizes)
+    if not isinstance(mu, MultiPartition):
+        mu = MultiPartition(mu, spec.sizes)
+    # char_product checks the blocks of a MultiPartition
     dec = decompose(char_product(mu, spec, n), "C", n)
     return dec[Partition(lam)]
 
@@ -126,7 +126,7 @@ def multiplicity_branch_route(lam, symbols, sizes, mu, n):
     1
     """
     spec = DiagramSpec(symbols, sizes)
-    mu = _coerce_multi(mu, spec.sizes)
+    mu = _coerce_multi(mu, spec)
     m = spec.total()
     kappa_w = hat(Partition(lam), n, m)
     return branching_coefficient(kappa_w, spec.reversed(), hat_multi(mu, n))
@@ -170,10 +170,10 @@ def _duality_sweep(family, n, m):
         compared.setdefault(group(lam), {})[lam] = _plus_rho(
             cols[lam] if family == "A" else hat(lam, n, m).padded(m),
             (family, m))
-    product = _elem_products(family, n)
+    decomposition = _elem_products(family, n, decomposed=True)
     for mu in lams:
         same = compared[group(mu)]
-        dec = decompose(product(cols[mu]), family, n)
+        dec = decomposition(cols[mu])
         target = same[mu]
         yield len(same), _compare(
             dec, same, lambda w: _kostant_sum(kostant, w, target, family),
@@ -208,9 +208,12 @@ def verify_generalized_duality(n, r_max, size_bound):
     up to size_bound, and all multipartitions with component j inside the
     n x size_j rectangle; each cell compares one (spec, mu, lam) triple.
     Each input coarser than a cell is built once, in a table that lives
-    for this call: the block factors and their left-to-right products,
-    the decomposition of each sequence of (symbol, component) pairs, and hat(lam, n, k), alone and plus the
-    rho of C_k, for every lam of each n x k rectangle the sweep meets.
+    for this call: the block factors, the sp_2n decomposition of each
+    prefix of each sequence of (symbol, component) pairs, carried left to
+    right by the Brauer-Klimyk rule without building the product
+    polynomial (characters._products), and hat(lam, n, k), alone and
+    plus the rho of C_k, for every lam of each n x k rectangle the sweep
+    meets.
     """
     if size_bound < 1:
         return
@@ -223,8 +226,7 @@ def verify_generalized_duality(n, r_max, size_bound):
              for symbols in itertools.product("AC", repeat=r)
              for sizes in itertools.product(range(1, size_bound + 1),
                                             repeat=r)]
-    product = _char_products(n)
-    decs = {}
+    decomposition = _char_products(n, decomposed=True)
     tables = {}
 
     def hats(k):
@@ -246,10 +248,7 @@ def verify_generalized_duality(n, r_max, size_bound):
         fails = []
         for comps in itertools.product(*pools):
             # the character route does not depend on the block sizes
-            key = tuple(zip(spec.symbols, comps))
-            dec = decs.get(key)
-            if dec is None:
-                dec = decs[key] = decompose(product(key), "C", n)
+            dec = decomposition(tuple(zip(spec.symbols, comps)))
             # hat_multi(mu, n).flatten() + rho: a hat in n x k has k parts
             target = _plus_rho(sum((pool[c] for c, pool in zip(
                 comps[::-1], pools[::-1])), ()), ("C", m))

@@ -451,9 +451,9 @@ def test_char_products_match_left_to_right_products():
 @pytest.mark.parametrize("mu, spec, message", [
     # the component fits in 2 x 2, but the spec's block has size 1
     (MultiPartition([[1]], [2]), DiagramSpec("C", [1]),
-     r"^mu blocks \(2,\) do not match spec sizes \(1,\)$"),
+     r"^multipartition blocks \(2,\) do not match spec sizes \(1,\)$"),
     (MultiPartition([[1]], [1]), DiagramSpec("CC", [1, 1]),
-     r"^mu blocks \(1,\) do not match spec sizes \(1, 1\)$"),
+     r"^multipartition blocks \(1,\) do not match spec sizes \(1, 1\)$"),
     # the first component is fine, the second is not
     (MultiPartition([[1], [3]], [1, 1]), DiagramSpec("CA", [1, 1]),
      r"^component \(3,\) does not fit in 2 x 1$"),
@@ -551,3 +551,70 @@ def test_elem_products_multiply_once_per_prefix(monkeypatch):
     for h in heights:
         product(h)
     assert len(calls) == 125
+
+
+@pytest.mark.parametrize("family", ["A", "C"])
+def test_decomposition_chain_matches_decompose_on_duality_keys(family):
+    # every key of the type A and C duality sweeps with n, m <= 3
+    for n in range(1, 4):
+        decomposition = _elem_products(family, n, decomposed=True)
+        product = _elem_products(family, n)
+        for m in range(1, 4):
+            for heights in _column_heights(n, m):
+                assert decomposition(heights) == decompose(
+                    product(heights), family, n), (n, heights)
+
+
+def test_decomposition_chain_matches_decompose_on_generalized_keys():
+    # every key of verify_generalized_duality with n <= 2, r <= 2 and
+    # block sizes <= 2
+    for n in (1, 2):
+        decomposition = characters._char_products(n, decomposed=True)
+        product = characters._char_products(n)
+        for r in (1, 2):
+            for symbols in itertools.product("AC", repeat=r):
+                for sizes in itertools.product((1, 2), repeat=r):
+                    for comps in itertools.product(
+                            *(enumerate_rectangle(n, k) for k in sizes)):
+                        key = tuple(zip(symbols, comps))
+                        assert decomposition(key) == decompose(
+                            product(key), "C", n), key
+
+
+@pytest.mark.parametrize("family, factor", [
+    # a negated character: a negative multiplicity
+    ("C", -weyl_character((1, 0), "C", 2)),
+    # chi_(-1,-1) of gl_2: a constituent that is not a partition
+    ("A", LaurentPolynomial.monomial((-1, -1))),
+], ids=["negative", "not-a-partition"])
+def test_decomposition_chain_rejects_non_characters_like_decompose(
+        family, factor):
+    with pytest.raises(NotACharacter) as want:
+        decompose(factor, family, 2)
+    chain = characters._products(lambda key: factor,
+                                 *characters._chain(family, 2, True))
+    with pytest.raises(NotACharacter) as got:
+        chain(("f",))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("cap, sorted_before, message", [
+    # e_2 of the 4 folded letters of sp_4 has 5 terms, and is
+    # chi_(1,1) + chi_0: the first step pairs 1 x 5, the second 2 x 5
+    (4, 0, "character step of 1 constituents by 5 terms exceeds term cap 4"),
+    (9, 5, "character step of 2 constituents by 5 terms exceeds term cap 9"),
+], ids=["first-step", "second-step"])
+def test_decomposition_step_checks_term_cap_before_sorting(
+        monkeypatch, cap, sorted_before, message):
+    decomposition = _elem_products("C", 2, decomposed=True)
+    sorted_ = []
+    chamber = characters._to_chamber
+    monkeypatch.setattr(characters, "_to_chamber",
+                        lambda *a: sorted_.append(a) or chamber(*a))
+    with limits.overridden({"term_cap": cap}):
+        with pytest.raises(LimitExceeded) as info:
+            decomposition((2, 2))
+    assert str(info.value) == message
+    assert len(sorted_) == sorted_before
+    assert decomposition((2, 2)) == decompose(
+        elem_sym(2, "C", 2) * elem_sym(2, "C", 2), "C", 2)

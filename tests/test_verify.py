@@ -7,8 +7,9 @@ import pytest
 
 from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
                      LimitExceeded, MultiPartition, Partition,
-                     branching_coefficient, conjugate, decompose, elem_sym,
-                     enumerate_king_tableaux, enumerate_rectangle, hat,
+                     branching_coefficient, char_product, conjugate,
+                     decompose, elem_sym, enumerate_king_tableaux,
+                     enumerate_rectangle, hat,
                      injectivity_scan, limits, multiplicity_branch_route,
                      multiplicity_char_route, verify_bijection,
                      verify_contraction, verify_generalized_duality,
@@ -165,12 +166,12 @@ def _counting(monkeypatch, module, name):
 
 def test_generalized_builds_each_block_factor_once(monkeypatch):
     # (1, 1, 4) meets the components (), (1), ..., (4) on both symbols:
-    # 5 Schur and 5 Weyl factors and 10 decompositions, where one per
-    # multipartition would be 14, 14 and 28
-    from howekit import characters, verify
+    # 5 Schur and 5 Weyl factors and 10 keys decomposed through the table,
+    # where one per multipartition would be 14, 14 and 28
+    from howekit import characters
     schur = _counting(monkeypatch, characters, "schur_folded")
     weyl_ = _counting(monkeypatch, characters, "weyl_character")
-    decs = _counting(monkeypatch, verify, "decompose")
+    decs = _counting(monkeypatch, characters, "_constituents")
     rep = verify_generalized_duality(1, 1, 4)
     assert (rep["cells"], rep["failures"]) == (108, [])
     assert len(decs) == 10
@@ -183,8 +184,9 @@ def test_generalized_builds_each_block_factor_once(monkeypatch):
 def test_generalized_multiplies_once_per_prefix(monkeypatch):
     # (2, 2, 2) meets 156 sequences of (symbol, component) pairs over the 6
     # partitions of the 2 x 2 rectangle: 12 factors, and every sequence of
-    # two extends one of one, so one product per sequence; a second pass
-    # over the same sequences is all table hits
+    # two extends one of one, so one decomposition step per sequence and no
+    # polynomial product; a second pass over the same sequences is all
+    # table hits
     from howekit import characters, verify
     keys = {tuple(zip(symbols, comps)) for r in (1, 2)
             for symbols in itertools.product("AC", repeat=r)
@@ -202,20 +204,23 @@ def test_generalized_multiplies_once_per_prefix(monkeypatch):
     monkeypatch.setattr(characters, "schur_folded",
                         lambda comp, n: built.append(("A", comp))
                         or factors["A", comp])
+    steps = _counting(monkeypatch, characters, "_klimyk")
     table = verify._char_products
     monkeypatch.setattr(verify, "_char_products",
-                        lambda n: tables.append(table(n)) or tables[-1])
+                        lambda *args, **kwargs: tables.append(
+                            table(*args, **kwargs)) or tables[-1])
     mul = LaurentPolynomial.__mul__
     monkeypatch.setattr(LaurentPolynomial, "__mul__",
                         lambda self, other: muls.append(1) or mul(self, other))
     rep = verify_generalized_duality(2, 2, 2)
     assert (rep["cells"], rep["failures"]) == (3906, [])
     assert len(built) == len(set(built)) == len(factors) == 12
-    assert len(muls) == len(prefixes) == len(keys) == 156
+    assert len(steps) == len(prefixes) == len(keys) == 156
+    assert muls == []
     assert len(tables) == 1
     for key in keys:
         tables[0](key)
-    assert len(muls) == 156
+    assert len(steps) == 156
 
 
 def test_generalized_builds_each_hat_once(monkeypatch):
@@ -293,15 +298,16 @@ def _off_by_one(monkeypatch):
 
 
 def _extra_constituents(monkeypatch):
-    # one constituent outside every rectangle, and one more trivial one
-    from howekit import verify
+    # one constituent outside every rectangle, and one more trivial one,
+    # in every decomposition a sweep reads off its product table
+    from howekit import characters
     from howekit.characters import CharacterDecomposition
 
-    def dec(p, family, n, f=verify.decompose):
-        d = f(p, family, n)
+    def dec(r, strict, f=characters._constituents):
+        d = f(r, strict)
         return CharacterDecomposition(
             {**d.mults, Partition((3,)): 1, Partition(()): d[()] + 1})
-    monkeypatch.setattr(verify, "decompose", dec)
+    monkeypatch.setattr(characters, "_constituents", dec)
 
 
 def _spec_entries(entries):
@@ -456,3 +462,28 @@ def test_generalized_without_block_sizes_is_empty(monkeypatch, capsys):
                    "--size-bound", "0"])
     rep = json.loads(capsys.readouterr().out)
     assert (rc, rep["cells"], rep["failures"]) == (0, 0, [])
+
+
+@pytest.mark.parametrize("entry, checks", [
+    (lambda spec, mu: char_product(mu, spec, 2), 1),
+    (lambda spec, mu: branching_coefficient((1, 1, 0), spec, mu), 1),
+    (lambda spec, mu: multiplicity_char_route(
+        (1,), spec.symbols, spec.sizes, mu, 2), 1),
+    # mu itself, then its hat against the reversed spec inside
+    # branching_coefficient
+    (lambda spec, mu: multiplicity_branch_route(
+        (1,), spec.symbols, spec.sizes, mu, 2), 2),
+], ids=["char_product", "branching_coefficient", "char_route",
+        "branch_route"])
+def test_block_sizes_have_one_check(monkeypatch, entry, checks):
+    # the same bad multipartition gives one message from every entry point
+    spec = DiagramSpec("CA", (1, 2))
+    with pytest.raises(ValueError, match=r"^multipartition blocks \(2, 1\) "
+                       r"do not match spec sizes \(1, 2\)$"):
+        entry(spec, MultiPartition([[1], [1]], (2, 1)))
+    seen = []
+    check = DiagramSpec.check_blocks
+    monkeypatch.setattr(DiagramSpec, "check_blocks",
+                        lambda self, mu: seen.append(mu) or check(self, mu))
+    entry(spec, MultiPartition([[1], [1]], (1, 2)))
+    assert len(seen) == checks
