@@ -436,20 +436,68 @@ def _constituents(r, strict):
     return CharacterDecomposition(mults)
 
 
+def _check_monomials(k, letters):
+    """Raise LimitExceeded when h_k, the sum of every monomial of degree k
+    in the letters, has more of them than enum_cap allows."""
+    monomials = comb(k + letters - 1, letters - 1)
+    cap = limits.get_cap("enum_cap")
+    if monomials > cap:
+        raise LimitExceeded("h_%d of %d letters has %d monomials, above "
+                            "enum_cap %d" % (k, letters, monomials, cap))
+
+
 def schur_folded(delta, n):
     """The 2n-variable Schur polynomial s_delta specialized at
-    (x_1,...,x_n,1/x_1,...,1/x_n), via the dual Jacobi-Trudi determinant
-    over the folded elementary symmetric polynomials."""
+    (x_1,...,x_n,1/x_1,...,1/x_n), as a Jacobi-Trudi determinant over
+    the folded values.
+
+    When n is 1 or delta has one part, it is the row form
+    det(h_{delta_i - i + j}) of size l(delta) (_h_det).  Otherwise it is
+    the dual form det(e_{delta'_i - i + j}) of size delta_1, whose entries
+    have far fewer terms than the h_k; its expansion recurses once per
+    row, so h_k of the row form's largest index k = delta_1 + l(delta) - 1
+    is checked against enum_cap first, which bounds delta_1.
+    """
     delta = Partition(delta)
     s = delta.stripped()
     if len(s) > 2 * n:
         raise ValueError("partition %r has more than %d parts" % (s, 2 * n))
     if not s:
         return LaurentPolynomial.one(n)
-    width = s[0]
-    cols = conjugate(delta).padded(width)
-    return _jt_det([[(c - i + j,) for j in range(1, width + 1)]
+    top = s[0] + len(s) - 1
+    if n == 1 or len(s) == 1:
+        return _h_det(s, top, n)
+    _check_monomials(top, 2 * n)
+    cols = conjugate(delta).padded(s[0])
+    return _jt_det([[(c - i + j,) for j in range(1, s[0] + 1)]
                     for i, c in enumerate(cols, 1)], "C", n)
+
+
+def _h_det(s, top, n):
+    """det(h_{s_i - i + j}) of the 2n folded values, for a partition s
+    with at least one part; top = s_1 + l(s) - 1 is its largest index.
+
+    The complete symmetric h_k come from the folded e_j by h_k =
+    sum_{j>=1} (-1)^(j-1) e_j h_{k-j}.  Before any is built, the subset
+    count of every e_j used is checked against enum_cap, in increasing j,
+    and then the monomials of h_top.
+    """
+    letters = 2 * n
+    for j in range(1, min(top, letters) + 1):
+        _check_subsets(j, letters)
+    _check_monomials(top, letters)
+    e = [elem_sym(j, "C", n) for j in range(min(top, letters) + 1)]
+    h = [e[0]]
+    for k in range(1, top + 1):
+        total = LaurentPolynomial.zero(n)
+        for j in range(1, min(k, letters) + 1):
+            term = e[j] * h[k - j]
+            total = total + term if j % 2 else total - term
+        h.append(total)
+    zero = LaurentPolynomial.zero(n)
+    return _det([[h[d - i + j] if d - i + j >= 0 else zero
+                  for j in range(1, len(s) + 1)]
+                 for i, d in enumerate(s, 1)])
 
 
 def _char_products(n, decomposed=False):

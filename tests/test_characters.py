@@ -248,6 +248,59 @@ def test_schur_folded_matches_doubled_alphabet():
         schur_folded((1, 1, 1), 1)
 
 
+def test_schur_folded_row_form_matches_dual_form():
+    # det(h_{delta_i - i + j}) against the dual Jacobi-Trudi determinant
+    # det(e_{delta'_i - i + j}) of size delta_1, on every delta with at
+    # most 2n parts, each at most 4; the row form itself is checked up to
+    # 3 parts, as it takes seconds on the taller shapes of n = 3, which
+    # schur_folded sends to the dual form
+    for n in (1, 2, 3):
+        for delta in enumerate_rectangle(2 * n, 4):
+            s = delta.stripped()
+            if not s:
+                continue
+            cols = conjugate(delta).padded(s[0])
+            dual = characters._det(
+                [[elem_sym(c - i + j, "C", n) for j in range(1, s[0] + 1)]
+                 for i, c in enumerate(cols, 1)])
+            assert schur_folded(delta, n) == dual, (n, s)
+            if len(s) <= 3:
+                top = s[0] + len(s) - 1
+                assert characters._h_det(s, top, n) == dual, (n, s)
+
+
+def test_schur_folded_determinant_has_one_row_per_part(monkeypatch):
+    # s_(400) at n = 1 is the 1 x 1 determinant (h_400), where the dual
+    # form would expand 400 rows, one frame each
+    sizes = []
+    det = characters._det
+    monkeypatch.setattr(characters, "_det",
+                        lambda matrix: sizes.append(len(matrix))
+                        or det(matrix))
+    got = schur_folded((400,), 1)
+    assert sizes == [1]
+    assert got == LaurentPolynomial(1, {(k,): 1 for k in range(-400, 401, 2)})
+
+
+@pytest.mark.parametrize("delta, n, k, letters", [
+    # the row form: h_1000 of the 6 folded letters at n = 3
+    ((1000,), 3, 1000, 6),
+    # the dual form, 1000 rows deep, bounded by the row form's h_1001
+    ((1000, 1), 2, 1001, 4),
+], ids=["row-form", "dual-form"])
+def test_schur_folded_checks_its_largest_h_before_building(
+        monkeypatch, delta, n, k, letters):
+    built = []
+    monkeypatch.setattr(characters, "elem_sym",
+                        lambda *args: built.append(args))
+    with pytest.raises(LimitExceeded) as info:
+        schur_folded(delta, n)
+    monomials = math.comb(k + letters - 1, letters - 1)
+    assert str(info.value) == ("h_%d of %d letters has %d monomials, above "
+                               "enum_cap 10000000" % (k, letters, monomials))
+    assert built == []
+
+
 def test_decompose_tensor_square_of_vector_module():
     for n in (2, 3):
         sq = elem_sym(1, "C", n) * elem_sym(1, "C", n)
