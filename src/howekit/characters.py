@@ -120,45 +120,45 @@ def _products(factor, start, step, finish=None):
 
 
 def _chain(family, n, decomposed):
-    """(start, step, finish) of a product chain of W-invariant factors in
-    n variables: polynomials, or decompositions into the characters of
-    family at rank n when decomposed.
-
-    Every factor of a decomposition chain is a character, so its product
-    is W-invariant by construction and no invariance check is made; the
-    finish keeps decompose's sign and partition checks and messages.
-    """
+    """The (start, step, finish) of a polynomial chain in n variables, or
+    of a decomposition chain into the characters of family at rank n.
+    Every factor is a character, so a decomposition chain's product is
+    W-invariant by construction and is not checked; its finish keeps
+    decompose's sign and partition checks and messages."""
     if not decomposed:
         return LaurentPolynomial.one(n), mul, None
     r = weyl.rho((family, n))
-    return {r: 1}, partial(_klimyk, family), partial(_constituents, r)
+    return {r: 1}, partial(_klimyk_step, family), partial(_constituents, r)
 
 
 def _klimyk(family, state, f):
     """state * f for a W-invariant polynomial f, where state maps lam +
-    rho to the multiplicity of chi_lam: the Brauer-Klimyk rule
+    rho to the multiplicity of chi_lam, by the Brauer-Klimyk rule
 
         chi_lam * f = sum_e f[e] eps(w) chi_{w(lam + rho + e) - rho},
 
     w sorting lam + rho + e into the dominant chamber (_to_chamber); a
-    term on a wall adds nothing.  The closed-form count of pairs,
-    len(state) * len(f), is checked against term_cap before any is
-    sorted.
+    term on a wall adds nothing, and zero multiplicities are dropped.
     """
-    terms = f.terms
-    cap = limits.get_cap("term_cap")
-    if len(state) * len(terms) > cap:
-        raise LimitExceeded("character step of %d constituents by %d terms "
-                            "exceeds term cap %d"
-                            % (len(state), len(terms), cap))
     out = {}
     for eta, mult in state.items():
-        for e, c in terms.items():
+        for e, c in f.terms.items():
             got = _to_chamber(tuple(map(add, eta, e)), family)
             if got is not None:
                 s, nu = got
                 out[nu] = out.get(nu, 0) + s * mult * c
     return {nu: c for nu, c in out.items() if c}
+
+
+def _klimyk_step(family, state, f):
+    """_klimyk as a step of a decomposition chain: its closed-form count
+    of pairs, len(state) * len(f), is checked against term_cap before any
+    pair is sorted."""
+    cap = limits.get_cap("term_cap")
+    if len(state) * len(f) > cap:
+        raise LimitExceeded("character step of %d constituents by %d terms "
+                            "exceeds term cap %d" % (len(state), len(f), cap))
+    return _klimyk(family, state, f)
 
 
 def _elem_products(family, n, decomposed=False):
@@ -394,9 +394,10 @@ def decompose(p, family, rank):
     If p = sum m_lam chi_lam then p * a_rho = sum m_lam a_{lam+rho}, and
     each alternant has exactly one strictly dominant term.  So m_lam is
     the sum of eps(w) * p[e] over the exponents e of p with e + rho =
-    w(lam + rho), read off in one pass over p.  Constituents are then
-    checked in lex-descending order, the order of peeling the greatest
-    exponent.  Raises NotACharacter when the input is not invariant, a
+    w(lam + rho), read off in one pass over p: the Brauer-Klimyk rule
+    (_klimyk) applied to chi_0 * p.  Constituents are then checked in
+    lex-descending order, the order of peeling the greatest exponent.
+    Raises NotACharacter when the input is not invariant, a
     multiplicity is negative, or a constituent is not a partition.
     """
     family, rank = weyl.check_id((family, rank))
@@ -406,26 +407,18 @@ def decompose(p, family, rank):
     if not _is_invariant(p, family, rank):
         raise NotACharacter("input is not Weyl invariant")
     r = weyl.rho((family, rank))
-    strict = {}
-    for exp, coef in p.terms.items():
-        got = _to_chamber(tuple(map(add, exp, r)), family)
-        if got is not None:
-            s, eta = got
-            strict[eta] = strict.get(eta, 0) + s * coef
-    return _constituents(r, strict)
+    return _constituents(r, _klimyk(family, {r: 1}, p))
 
 
 def _constituents(r, strict):
     """The CharacterDecomposition with multiplicity strict[eta] at eta -
-    r, for strictly dominant eta.  Constituents are checked in
-    lex-descending order, the order of peeling the greatest exponent:
-    NotACharacter when a multiplicity is negative or a constituent is not
-    a partition."""
+    r, for the strictly dominant eta of strict, whose values are nonzero.
+    Constituents are checked in lex-descending order, the order of
+    peeling the greatest exponent: NotACharacter when a multiplicity is
+    negative or a constituent is not a partition."""
     mults = {}
     for eta in sorted(strict, reverse=True):
         coef = strict[eta]
-        if not coef:
-            continue
         top = tuple(a - b for a, b in zip(eta, r))
         if coef < 0:
             raise NotACharacter("negative multiplicity %d at %r" % (coef, top))

@@ -204,7 +204,7 @@ def test_generalized_multiplies_once_per_prefix(monkeypatch):
     monkeypatch.setattr(characters, "schur_folded",
                         lambda comp, n: built.append(("A", comp))
                         or factors["A", comp])
-    steps = _counting(monkeypatch, characters, "_klimyk")
+    steps = _counting(monkeypatch, characters, "_klimyk_step")
     table = verify._char_products
     monkeypatch.setattr(verify, "_char_products",
                         lambda *args, **kwargs: tables.append(
