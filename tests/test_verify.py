@@ -7,8 +7,8 @@ import pytest
 
 from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
                      LimitExceeded, MultiPartition, Partition,
-                     branching_coefficient, char_product, conjugate,
-                     decompose, elem_sym, enumerate_king_tableaux,
+                     TensorElement, branching_coefficient, char_product,
+                     conjugate, decompose, elem_sym, enumerate_king_tableaux,
                      enumerate_rectangle, hat,
                      injectivity_scan, limits, multiplicity_branch_route,
                      multiplicity_char_route, verify_bijection,
@@ -141,6 +141,31 @@ def test_bijection_failure_entry(monkeypatch):
         {"mu_prime": [2], "lam": [], "reason": "image set mismatch",
          "missing": []},
     ]
+
+
+def test_bijection_reports_every_non_invertible_vertex(monkeypatch):
+    # an inverse that reverses the columns undoes star only on the
+    # vertices whose columns read the same both ways, (-1), (-1) here
+    from howekit import duality
+    real = duality.star_inverse
+
+    def reversing(t, n=None, m=None):
+        b = real(t, n, m)
+        return TensorElement(b.columns[::-1], b.n)
+    monkeypatch.setattr(duality, "star_inverse", reversing)
+    rep = verify_bijection(1, 2)
+    assert rep["cells"] == 27
+    assert [(f["mu_prime"], f["lam"], f["element"]) for f in rep["failures"]
+            if f["reason"] == "star not invertible"] == [
+        ([0, 1], [1], [[], [-1]]),
+        ([0, 2], [], [[], [-1, 1]]),
+        ([1, 0], [1], [[-1], []]),
+        ([1, 1], [], [[-1], [1]]),
+        ([1, 2], [1], [[-1], [-1, 1]]),
+        ([2, 0], [], [[-1, 1], []]),
+        ([2, 1], [1], [[-1, 1], [-1]]),
+    ]
+    assert len(rep["failures"]) == 7
 
 
 def test_contraction_and_jdt_reports():
