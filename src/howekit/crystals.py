@@ -258,48 +258,63 @@ def enumerate_B(mu_prime, n):
 
 
 def _highest_weight_elements(mu_prime, n):
-    """The highest weight elements of B_{mu'}, in the lex order of
-    enumerate_B.
-
-    Each column is filled letter by letter in increasing order, and a
-    letter is skipped when the weight of the word so far would leave the
-    dominant chamber: every extension of such a prefix fails
-    is_highest_weight.  Adding one letter moves one coordinate a_i by
-    one, so only its two neighbours need checking.
+    """The highest weight elements of B_{mu'}, in enumerate_B's order.
 
     >>> [b.word() for b in _highest_weight_elements((1, 1), 2)]
     [(-2, -2), (-2, -1), (-2, 2)]
     """
     heights = _checked_heights(mu_prime, n)
-    alphabet = [x for x in range(-n, n + 1) if x != 0]
-    # entries: (finished columns, open column, next alphabet index, a), with
+    [(_, pairs)] = _highest_weight_walk([(h,) for h in heights], n)
+    return (b for b, _ in pairs)
+
+
+def _highest_weight_walk(choices, n):
+    """(mu', [(b, weight_of(b)) for the highest weight b of B_{mu'}]) for
+    each mu' in product(*choices) order, each list in enumerate_B's order;
+    a B_{mu'} over enum_cap raises as there.  Columns fill letter by letter,
+    skipping a letter that takes the word's weight out of the dominant
+    chamber, which no extension undoes; each highest weight prefix is
+    filled once for all the mu' it starts.
+    """
+    cap = get_cap("enum_cap")
     # a[i] = #(-i) - #(i) between the sentinels a[0] = 0 (so a_1 >= 0) and
-    # a[n + 1], which no count reaches
-    stack = [((), (), 0, (0,) * (n + 1) + (sum(heights) + 1,))]
+    # a[n + 1], which no count reaches; the weight is a[n:0:-1].  Letter x
+    # adds d to a_i, i = |x|, and keeps a dominant iff a[j] < a[j + 1]
+    # before it, for j = i (x < 0) or i - 1 (x > 0)
+    moves = [(x, -x, 1, -x) if x < 0 else (x, x, -1, x - 1)
+             for x in range(-n, n + 1) if x]
+    a = (0,) * (n + 1) + (2 * n * len(choices) + 1,)
+    stack = [((), [((), a)], 1)]  # (heights, parent's prefixes, |B|)
     while stack:
-        cols, col, start, a = stack.pop()
-        j = len(cols)
-        if j == len(heights):
-            yield TensorElement._trusted(cols, n)
-        elif len(col) == heights[j]:
-            stack.append((cols + (col,), (), 0, a))
+        mu, prefixes, size = stack.pop()
+        if size > cap:
+            size *= prod(comb(2 * n, c[0]) for c in choices[len(mu):])
+            raise LimitExceeded("B_{mu'} has %d elements, cap is %d"
+                                % (size, cap))
+        if mu:
+            h = mu[-1]
+            # (cols, open column, its next alphabet index, a), one letter
+            # more per round, each column leaving room for the rest
+            level = [(cols, (), 0, a) for cols, a in prefixes]
+            for r in range(h):
+                level = [(cols, col + (x,), k + 1, a[:i] + (a[i] + d,)
+                          + a[i + 1:]) for cols, col, first, a in level
+                         for k, (x, i, d, j) in enumerate(
+                             moves[first:2 * n - h + r + 1], first)
+                         if a[j] < a[j + 1]]
+            prefixes = [(cols + (col,), a) for cols, col, _, a in level]
+        if len(mu) == len(choices):
+            yield mu, [(TensorElement._trusted(cols, n), a[n:0:-1])
+                       for cols, a in prefixes]
         else:
-            # the greatest candidate goes first, so the least comes off first
-            for k in range(2 * n - heights[j] + len(col), start - 1, -1):
-                x = alphabet[k]
-                i = abs(x)
-                # after the move, a_i <= a_(i+1) (x < 0) or a_i >= a_(i-1)
-                if a[i] < a[i + 1] if x < 0 else a[i] > a[i - 1]:
-                    step = (a[i] + 1,) if x < 0 else (a[i] - 1,)
-                    stack.append((cols, col + (x,), k + 1,
-                                  a[:i] + step + a[i + 1:]))
+            stack.extend((mu + (h,), prefixes, size * comb(2 * n, h))
+                         for h in reversed(choices[len(mu)]))
 
 
 def highest_weight_vertices(mu_prime, lam, n):
     """The set B^hw_{mu', lam}: highest weight vertices of a given weight."""
     target = tuple(int(x) for x in lam)
-    if len(target) < n:
-        target = target + (0,) * (n - len(target))
+    target += (0,) * (n - len(target))
     if len(target) != n:
         raise HowekitError("weight %r does not have %d coordinates" % (lam, n))
     return [b for b in _highest_weight_elements(mu_prime, n)

@@ -28,7 +28,7 @@ from ._value import Value
 from .crystals import TensorElement, highest_weight_vertices
 from .errors import HowekitError, LimitExceeded, MalformedTableau
 from .limits import get_cap
-from .partitions import Partition, hat
+from .partitions import Partition, conjugate, hat
 
 
 def _spell(k):
@@ -133,10 +133,7 @@ class KingElement(Value):
 
     def shape(self):
         """Conjugate of the column heights, as a partition."""
-        heights = sorted(self.heights(), reverse=True)
-        return Partition(tuple(sum(1 for h in heights if h > r)
-                               for r in range(heights[0]))
-                         if heights and heights[0] else ())
+        return conjugate(sorted(self.heights(), reverse=True))
 
     def replace(self, i, column):
         cols = list(self.columns)
@@ -321,18 +318,27 @@ def star_pairing(vertices, lam_hat, mu_hat, n, m, expected=None):
     """Pair each vertex with its star image; check that this is a
     bijection onto the King tableaux of shape lam_hat and weight mu_hat,
     with star_inverse undoing it.  Those tableaux are the expected list,
-    enumerated here when it is None.
+    enumerated here, after every vertex has passed, when it is None.
 
     Returns (pairs, None), or (None, failure) where failure holds the
     "reason" and the offending "element" or the "missing" tableaux.
+    verify_bijection calls _pair_cell with each lam_hat's inputs prebuilt.
     """
+    return _pair_cell(vertices, lam_hat, conjugate(lam_hat).stripped(),
+                      mu_hat, n, m, expected)
+
+
+def _pair_cell(vertices, lam_hat, heights, mu_hat, n, m, expected):
+    """star_pairing given the column heights of lam_hat, which a star
+    image's nonzero column heights, sorted, match iff it has that shape."""
     pairs = []
     images = set()
     for b in vertices:
         t = star(b)
         if star_inverse(t, n, m) != b:
             reason = "star not invertible"
-        elif t.shape() != lam_hat:
+        elif tuple(sorted(filter(None, map(len, t.columns)),
+                          reverse=True)) != heights:
             reason = "shape mismatch"
         elif king_weight(t) != mu_hat:
             reason = "weight mismatch"

@@ -27,9 +27,8 @@ from . import limits
 from .bicrystal import jdt_bar, kappa
 from .characters import (_char_products, _check_subsets, _elem_products,
                          char_product, decompose)
-from .crystals import (_highest_weight_elements, crystal_e, enumerate_B,
-                       weight_of)
-from .duality import king_tableaux_by_weight, star_pairing
+from .crystals import _highest_weight_walk, crystal_e, enumerate_B
+from .duality import _pair_cell, king_tableaux_by_weight
 from .errors import HowekitError, LimitExceeded
 from .partfn import (DiagramSpec, _counter_for, _kostant_sum, _plus_rho,
                      branching_coefficient)
@@ -261,21 +260,21 @@ def verify_generalized_duality(n, r_max, size_bound):
         yield count * len(lams), fails
 
 
-def _mu_primes(n, m):
-    """The cells of a crystal sweep: every column-height vector mu' of
-    length m with entries <= 2n, after checking both ranks and then their
-    number (2n+1)^m against enum_cap."""
+def _height_choices(n, m):
+    """The m height ranges of a crystal sweep, whose product is every
+    column-height vector mu' with entries <= 2n, after checking both ranks
+    and then the number (2n+1)^m of those vectors against enum_cap."""
     if n < 1 or m < 1:
         raise HowekitError("rank parameter must be >= 1")
     _checked_count(itertools.accumulate(itertools.repeat(2 * n + 1, m), mul),
                    "column-height vectors")
-    return list(itertools.product(range(2 * n + 1), repeat=m))
+    return [range(2 * n + 1)] * m
 
 
 def _vertices(n, m):
     """The vertices of a crystal sweep: (list(mu'), b) for every b in
-    B_{mu'}, over the column-height vectors of _mu_primes(n, m)."""
-    for mu_prime in _mu_primes(n, m):
+    B_{mu'}, over the column-height vectors of _height_choices(n, m)."""
+    for mu_prime in itertools.product(*_height_choices(n, m)):
         for b in enumerate_B(mu_prime, n):
             yield list(mu_prime), b
 
@@ -288,34 +287,39 @@ def verify_bijection(n, m):
     the n x m rectangle, the highest weight vertices of weight lam must map
     bijectively onto the King tableaux of shape hat(lam) and weight
     hat(mu), with star_inverse undoing the map.  A failed cell lists its
-    mu_prime and lam next to the failure of duality.star_pairing.
+    mu_prime and lam next to the failure of duality.star_pairing.  One
+    walk lists every mu' with its vertices and their weights; each lam's
+    weight, hat(lam) and its column heights and King tableaux are built
+    once.  A cell with no vertex and no King tableau counts, unpaired.
     """
-    keys = _mu_primes(n, m)
+    choices = _height_choices(n, m)
     lams = _rectangle(n, m)
-    rect = set(lams)
-    # per lam: the shape hat(lam) and its King tableaux by weight
-    kings = []
+    cells = []
     for lam in lams:
         lam_hat = hat(lam, n, m)
-        kings.append((lam_hat, king_tableaux_by_weight(lam_hat, m, n)))
-    for mu_prime in keys:
+        cells.append((lam.padded(n), list(lam.stripped()), lam_hat,
+                      conjugate(lam_hat).stripped(),
+                      king_tableaux_by_weight(lam_hat, m, n)))
+    weights = {cell[0] for cell in cells}
+    for mu_prime, pairs in _highest_weight_walk(choices, n):
         fails = []
         mu_tag = list(mu_prime)
         mu_hat = tuple(n - h for h in reversed(mu_prime))
         buckets = {}
-        for b in _highest_weight_elements(mu_prime, n):
-            buckets.setdefault(weight_of(b), []).append(b)
+        for b, w in pairs:
+            buckets.setdefault(w, []).append(b)
         for w in buckets:
-            if Partition(w) not in rect:
+            if w not in weights:
                 fails.append({"mu_prime": mu_tag, "weight": list(w),
                               "reason": "weight outside rectangle"})
-        for lam, (lam_hat, table) in zip(lams, kings):
-            vertices = buckets.get(tuple(lam.padded(n)), [])
-            _, failure = star_pairing(vertices, lam_hat, mu_hat, n, m,
-                                      table.get(mu_hat, []))
-            if failure is not None:
-                fails.append(dict(failure, mu_prime=mu_tag,
-                                  lam=list(lam.stripped())))
+        for w, lam_tag, lam_hat, heights, table in cells:
+            vertices = buckets.get(w, [])
+            expected = table.get(mu_hat, [])
+            if vertices or expected:
+                _, failure = _pair_cell(vertices, lam_hat, heights, mu_hat,
+                                        n, m, expected)
+                if failure is not None:
+                    fails.append(dict(failure, mu_prime=mu_tag, lam=lam_tag))
         yield len(lams), fails
 
 

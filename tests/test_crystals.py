@@ -1,5 +1,6 @@
 """Column tensor crystals: operators, admissibility, graph generation."""
 
+import functools
 import itertools
 import math
 
@@ -11,7 +12,7 @@ from howekit import (CrystalGraph, HowekitError, LaurentPolynomial, LimitExceede
                      highest_weight_vertices, is_admissible, is_coadmissible,
                      is_highest_weight, weight_of, weyl_character)
 from howekit import limits
-from howekit.crystals import _highest_weight_elements
+from howekit.crystals import _highest_weight_elements, _highest_weight_walk
 
 
 def all_elements(mu_prime, n):
@@ -105,13 +106,33 @@ def test_highest_weight_vertices_weights():
                 assert b.heights() == mu_p
 
 
+@functools.cache
+def highest_weight_oracle(mu_p, n):
+    # every element of B_{mu'} run through is_highest_weight
+    return [b for b in enumerate_B(mu_p, n) if is_highest_weight(b)]
+
+
 def test_highest_weight_generator_matches_filter():
-    # oracle: every element of B_{mu'} run through is_highest_weight
     cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3), (3, 3)]
     for n, m in cases:
         for mu_p in itertools.product(range(2 * n + 1), repeat=m):
-            want = [b for b in enumerate_B(mu_p, n) if is_highest_weight(b)]
+            want = highest_weight_oracle(mu_p, n)
             assert list(_highest_weight_elements(mu_p, n)) == want, (n, mu_p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_highest_weight_walk_matches_filter(n, m):
+    # the shared walk lists every mu' in product order, each with its
+    # highest weight elements, built unchecked, and their weights
+    got = list(_highest_weight_walk([range(2 * n + 1)] * m, n))
+    keys = list(itertools.product(range(2 * n + 1), repeat=m))
+    assert [mu_p for mu_p, _ in got] == keys
+    for mu_p, pairs in got:
+        assert pairs == [(b, weight_of(b))
+                         for b in highest_weight_oracle(mu_p, n)], mu_p
+        for b, _ in pairs:
+            _assert_validated(b)
 
 
 def test_highest_weight_generator_walks_many_columns():

@@ -95,7 +95,7 @@ TRUSTED_CALL_SITES = {
     ("laurent", "LaurentPolynomial.__mul__"),
     ("laurent", "LaurentPolynomial.exact_div"),
     ("crystals", "_apply_at"),
-    ("crystals", "_highest_weight_elements"),
+    ("crystals", "_highest_weight_walk"),
     ("duality", "star"),
     ("duality", "star_inverse"),
     ("duality", "king_tableaux_by_weight"),

@@ -168,6 +168,52 @@ def test_bijection_reports_every_non_invertible_vertex(monkeypatch):
     assert len(rep["failures"]) == 7
 
 
+def test_bijection_reports_weights_outside_the_rectangle(monkeypatch):
+    # a walk that lifts every weight by 2 leaves the 1 x 1 rectangle: each
+    # weight is reported, and its lam's King tableaux go unpaired
+    from howekit import verify
+    walk = verify._highest_weight_walk
+
+    def lifted(choices, n):
+        for mu_prime, pairs in walk(choices, n):
+            yield mu_prime, [(b, (w[0] + 2,) + w[1:]) for b, w in pairs]
+    monkeypatch.setattr(verify, "_highest_weight_walk", lifted)
+    rep = verify_bijection(1, 1)
+    assert rep["cells"] == 6
+    assert rep["failures"] == [
+        {"mu_prime": [0], "weight": [2], "reason": "weight outside rectangle"},
+        {"mu_prime": [0], "lam": [], "reason": "image set mismatch",
+         "missing": [[["1"]]]},
+        {"mu_prime": [1], "weight": [3], "reason": "weight outside rectangle"},
+        {"mu_prime": [1], "lam": [1], "reason": "image set mismatch",
+         "missing": [[[]]]},
+        {"mu_prime": [2], "weight": [2], "reason": "weight outside rectangle"},
+        {"mu_prime": [2], "lam": [], "reason": "image set mismatch",
+         "missing": [[["1b"]]]},
+    ]
+
+
+def test_bijection_stars_each_vertex_once(monkeypatch):
+    # one star per highest weight vertex of the sweep, one King table per
+    # lam, and no pairing call for a cell with nothing in it
+    from howekit import duality, verify
+    from howekit.crystals import _highest_weight_elements
+    n, m = 2, 3
+    starred = _counting(monkeypatch, duality, "star")
+    tables = _counting(monkeypatch, verify, "king_tableaux_by_weight")
+    cells = _counting(monkeypatch, verify, "_pair_cell")
+    rep = verify_bijection(n, m)
+    assert (rep["cells"], rep["failures"]) == (1250, [])
+    vertices = [b for mu_prime in itertools.product(range(2 * n + 1),
+                                                    repeat=m)
+                for b in _highest_weight_elements(mu_prime, n)]
+    assert len(starred) == len(vertices) == len(set(vertices))
+    assert {b for b, in starred} == set(vertices)
+    assert [args[0] for args in tables] == [
+        hat(lam, n, m) for lam in enumerate_rectangle(n, m)]
+    assert len(cells) == 1250 - 936
+
+
 def test_contraction_and_jdt_reports():
     rep = verify_contraction(2, 2)
     assert rep["failures"] == []
