@@ -182,31 +182,33 @@ def delta_product(family, m):
 
 def _det(matrix):
     """Determinant of a square matrix of polynomials, by minor expansion
-    memoized on (row, chosen column subset)."""
+    memoized on (row, chosen column subset), one stack frame per row."""
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
     nvars = matrix[0][0].nvars
+    one, zero = LaurentPolynomial.one(nvars), LaurentPolynomial.zero(nvars)
     memo = {}
-
-    def minor(row, cols):
-        if row == size:
-            return LaurentPolynomial.one(nvars)
-        got = memo.get((row, cols))
-        if got is not None:
-            return got
-        total = LaurentPolynomial.zero(nvars)
-        s = 1
-        for pos, col in enumerate(cols):
-            entry = matrix[row][col]
+    # frames: [row, chosen columns, next position, sum so far]; a frame
+    # waits at a position whose minor is not yet in the memo
+    stack = [[0, tuple(range(size)), 0, zero]]
+    while True:
+        row, cols, pos, total = frame = stack[-1]
+        for pos in range(pos, len(cols)):
+            entry = matrix[row][cols[pos]]
             if not entry.is_zero():
-                sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-                total = total + (entry * sub).scale(s)
-            s = -s
-        memo[(row, cols)] = total
-        return total
-
-    return minor(0, tuple(range(size)))
+                rest = cols[:pos] + cols[pos + 1:]
+                sub = one if row + 1 == size else memo.get((row + 1, rest))
+                if sub is None:
+                    frame[2:] = pos, total
+                    stack.append([row + 1, rest, 0, zero])
+                    break
+                total = total + (entry * sub).scale(-1 if pos % 2 else 1)
+        else:
+            memo[(row, cols)] = total
+            stack.pop()
+            if not stack:
+                return total
 
 
 def _jt_det(degrees, family, n):

@@ -282,6 +282,19 @@ def test_schur_folded_determinant_has_one_row_per_part(monkeypatch):
     assert got == LaurentPolynomial(1, {(k,): 1 for k in range(-400, 401, 2)})
 
 
+def test_determinant_walks_many_rows():
+    # the expansion keeps its own stack, so 2,000 rows are no recursion
+    # depth: a diagonal matrix of monomials gives their product
+    size = 2000
+    zero = LaurentPolynomial.zero(2)
+    diagonal = [LaurentPolynomial.monomial((i % 3, -(i % 5)))
+                for i in range(size)]
+    got = characters._det([[diagonal[i] if i == j else zero
+                            for j in range(size)] for i in range(size)])
+    assert got == LaurentPolynomial.monomial(
+        (sum(i % 3 for i in range(size)), -sum(i % 5 for i in range(size))))
+
+
 @pytest.mark.parametrize("delta, n, k, letters", [
     # the row form: h_1000 of the 6 folded letters at n = 3
     ((1000,), 3, 1000, 6),

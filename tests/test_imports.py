@@ -124,10 +124,7 @@ def test_trusted_call_sites_are_listed():
 # per level, so its depth is bounded by Python's recursion limit rather
 # than by a cap; the pruned walks keep explicit stacks instead.  A new one
 # must be listed here with its reason.
-RECURSIVE_CLOSURES = {
-    ("characters", "_det.minor"):
-        "one frame per matrix row; a stack walk needs its own design",
-}
+RECURSIVE_CLOSURES = {}
 
 
 def _recursive_closures(node, module, scope=(), nested=False):
