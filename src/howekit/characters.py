@@ -515,7 +515,5 @@ def char_product(mu, spec, n):
     """
     spec.check_blocks(mu)
     for comp, size in zip(mu.components, spec.sizes):
-        if not comp.fits_in(n, size):
-            raise ValueError("component %r does not fit in %d x %d"
-                             % (comp.stripped(), n, size))
+        comp.check_fits(n, size)
     return _char_products(n)(tuple(zip(spec.symbols, mu.components)))

@@ -63,6 +63,12 @@ class Partition(Value):
         s = self.stripped()
         return len(s) <= n and (not s or s[0] <= m)
 
+    def check_fits(self, n, m):
+        """Raise ValueError unless self lies in P_{n,m}."""
+        if not self.fits_in(n, m):
+            raise ValueError("partition %r does not fit in %d x %d"
+                             % (self.stripped(), n, m))
+
     def conjugate(self):
         return conjugate(self)
 
@@ -125,8 +131,7 @@ def hat(p, n, m):
     (3, 2, 2, 1, 0)
     """
     p = Partition(p)
-    if not p.fits_in(n, m):
-        raise ValueError("partition %r does not fit in %d x %d" % (p.stripped(), n, m))
+    p.check_fits(n, m)
     cp = conjugate(p).padded(m)
     return Partition(tuple(n + x for x in involution_I(cp)))
 

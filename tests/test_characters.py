@@ -522,7 +522,7 @@ def test_char_products_match_left_to_right_products():
      r"^multipartition blocks \(1,\) do not match spec sizes \(1, 1\)$"),
     # the first component is fine, the second is not
     (MultiPartition([[1], [3]], [1, 1]), DiagramSpec("CA", [1, 1]),
-     r"^component \(3,\) does not fit in 2 x 1$"),
+     r"^partition \(3,\) does not fit in 2 x 1$"),
 ], ids=["block-size", "block-count", "second-component"])
 def test_char_product_checks_before_building(monkeypatch, mu, spec, message):
     built = []

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import howekit
-from howekit import DiagramSpec, limits
+from howekit import DiagramSpec, MultiPartition, char_product, hat, limits
 from howekit.cli import dispatch
 
 
@@ -29,6 +29,20 @@ def test_hat_bytes(capsys):
                               "--n", "4", "--m", "5"])
     assert rc == 0
     assert out == "[3,2,2,1,0]\n"
+
+
+def test_rectangle_rule_has_one_message(capsys):
+    # (3) is too wide for the 2 x 1 rectangle of an n = 2 block of size 1
+    message = "partition (3,) does not fit in 2 x 1"
+    with pytest.raises(ValueError) as info:
+        hat((3,), 2, 1)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        char_product(MultiPartition([[3]], [1]), DiagramSpec("C", [1]), 2)
+    assert str(info.value) == message
+    rc, out, err = run(capsys, ["product", "--symbols", "C", "--sizes", "1",
+                                "--mu", "3", "--n", "2"])
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_conjugate_bytes(capsys):
