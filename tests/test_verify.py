@@ -214,6 +214,15 @@ def test_bijection_stars_each_vertex_once(monkeypatch):
     assert len(cells) == 1250 - 936
 
 
+def test_bijection_checks_each_B_against_enum_cap():
+    # the 7^2 = 49 height vectors of (3, 2) pass a cap of 343, and the
+    # first B_{mu'} over it in product order is C(6, 3)^2 = 400 at (3, 3)
+    with limits.overridden({"enum_cap": 343}):
+        with pytest.raises(LimitExceeded) as info:
+            verify_bijection(3, 2)
+    assert str(info.value) == "B_{mu'} has 400 elements, cap is 343"
+
+
 def test_contraction_and_jdt_reports():
     rep = verify_contraction(2, 2)
     assert rep["failures"] == []
