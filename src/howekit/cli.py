@@ -244,27 +244,35 @@ def _sweep(name, args=attrgetter("n", "m")):
 
 @cache
 def _build_parser():
-    """The top-level parser and its table of subcommand parsers by name."""
-    # built once per process: parsing returns a fresh Namespace on every
-    # call and no handler touches a parser, so no state outlives a call
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="key=value file overriding size caps for "
-                             "this command")
+    """The top-level parser, and each subcommand's handler and flag table.
 
+    add() declares each flag once, to argparse, and files the action it
+    returns in the table that _fast_parse reads: "--flag" to dest, type and
+    whether it is store_true, beside the defaults of optional flags and the
+    dests of required ones.  argparse alone writes help, usage and errors.
+    """
+    # built once per process: parsing returns a fresh Namespace on every
+    # call, and no handler touches a parser or table: no state outlives a call
     parser = argparse.ArgumentParser(
         prog="howekit",
         description="exact duality checks for symplectic characters, "
                     "crystals and King tableaux")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="SUBCOMMAND")
+    commands = {}
+    config = {"default": None,
+              "help": "key=value file overriding size caps for this command"}
 
     def add(name, handler, help_text, **args):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, kw in args.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kw)
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
+        flags, defaults, required = {}, {}, {}
+        for flag, kw in {"config": config, **args}.items():
+            option = "--" + flag.replace("_", "-")
+            a = p.add_argument(option, **kw)
+            flags[option] = a.dest, a.type, kw.get("action") == "store_true"
+            (required if a.required else defaults)[a.dest] = a.default
+        commands[name] = handler, flags, defaults, required
 
     req_int = {"type": int, "required": True}
     req_str = {"required": True}
@@ -341,7 +349,7 @@ def _build_parser():
                lambda ns: (_spec(ns), ns.part_bound, ns.n_bound)),
         "scan for distinct weights with equal branching vectors",
         symbols=req_str, sizes=req_str, part_bound=req_int, n_bound=req_int)
-    return parser, sub.choices
+    return parser, commands
 
 
 def _glue_negative_values(argv):
@@ -362,21 +370,52 @@ def _glue_negative_values(argv):
     return out
 
 
+def _fast_parse(commands, argv):
+    """The Namespace argparse gives for argv, read in one pass over its
+    subcommand's flag table; None unless every flag is spelled as declared,
+    as "--flag value", "--flag=value" or a bare store_true "--flag", every
+    value converts and does not start with "-" (negative ones are glued to
+    their flag first), and every required flag is given."""
+    if not argv or argv[0] not in commands:
+        return None
+    handler, flags, defaults, required = commands[argv[0]]
+    values = dict(defaults)
+    i = 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        if flag not in flags:
+            return None
+        dest, kind, store_true = flags[flag]
+        i += 1
+        if store_true:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            if i == len(argv) or argv[i][:1] == "-":
+                return None
+            value = argv[i]
+            i += 1
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    if not values.keys() >= required.keys():
+        return None
+    return argparse.Namespace(command=argv[0], handler=handler, **values)
+
+
 def dispatch(argv):
-    parser, subparsers = _build_parser()
+    parser, commands = _build_parser()
     argv = _glue_negative_values(list(argv))
-    try:
-        if argv and argv[0] in subparsers:
-            # the full parser would hand argv[1:] to this parser; calling it
-            # directly spares sorting every token twice
-            ns, extras = subparsers[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error("unrecognized arguments: %s" % " ".join(extras))
-            ns.command = argv[0]
-        else:
+    ns = _fast_parse(commands, argv)
+    if ns is None:
+        try:
             ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         caps = _read_config(ns.config) if ns.config else {}
         with limits.overridden(caps):

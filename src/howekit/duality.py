@@ -368,8 +368,6 @@ def verify_combinatorial_howe(n, m, mu_prime, lam):
     """
     mu_prime = tuple(int(h) for h in mu_prime)
     lam = Partition(lam)
-    if not lam.fits_in(n, len(mu_prime)):
-        raise HowekitError("weight %r outside P_{%d,%d}" % (lam, n, len(mu_prime)))
     lam_hat = hat(lam, n, len(mu_prime))
     # mu_hat coordinates may be negative when a column is taller than n;
     # King tableau weights are honest weight vectors, not partitions

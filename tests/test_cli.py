@@ -1,5 +1,6 @@
 """Command line round trips, exit codes, and cap plumbing."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import howekit
-from howekit import DiagramSpec, MultiPartition, char_product, hat, limits
+from howekit import (DiagramSpec, MultiPartition, char_product, hat, limits,
+                     verify_combinatorial_howe)
 from howekit.cli import dispatch
 
 
@@ -40,6 +42,10 @@ def test_rectangle_rule_has_one_message(capsys):
     with pytest.raises(ValueError) as info:
         char_product(MultiPartition([[3]], [1]), DiagramSpec("C", [1]), 2)
     assert str(info.value) == message
+    # one height in mu' makes m = 1; hat alone checks the rule
+    with pytest.raises(ValueError) as info:
+        verify_combinatorial_howe(2, 1, (1,), (3,))
+    assert (type(info.value), str(info.value)) == (ValueError, message)
     rc, out, err = run(capsys, ["product", "--symbols", "C", "--sizes", "1",
                                 "--mu", "3", "--n", "2"])
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
@@ -246,8 +252,8 @@ def invalid_choice(word):
             "%s)\n" % (word, CHOICES))
 
 
-# (rc, stdout, stderr) of each call, as the full parser gave them before a
-# call naming a subcommand went to that subcommand's parser alone
+# (rc, stdout, stderr) of each call, as argparse gave them before any call
+# could skip the full parser
 @pytest.mark.parametrize("argv, want", [
     ([], (2, "", USAGE + "the following arguments are required: "
           "SUBCOMMAND\n")),
@@ -298,6 +304,30 @@ options:
   --n N
   --m M
 """, "")),
+    # the boundary of the one-pass flag reader: "--flag=" with an empty
+    # value and a repeated flag are read by it; the rest go to argparse
+    (["hat", "--partition=", "--n", "2", "--m", "2"], (0, "[2,2]\n", "")),
+    (["hat", "--partition", "2,1", "--n", "9", "--m", "4", "--n", "2"],
+     (0, "[2,2,1,0]\n", "")),
+    (KOSTANT + ["--twisted=1"], (2, "", KOSTANT_USAGE + "howekit kostant: "
+                                 "error: argument --twisted: ignored "
+                                 "explicit argument '1'\n")),
+    (["hat", "--partition", "--n", "--n", "2", "--m", "2"],
+     (2, "", HAT_USAGE + "argument --partition: expected one argument\n")),
+    (HAT + ["--config"],
+     (2, "", HAT_USAGE + "argument --config: expected one argument\n")),
+    (["hat", "--partition", "1", "--n", "2", "--m", "2", "--par", "2"],
+     (0, "[1,1]\n", "")),
+    (HAT + ["-h"], (0, HAT_USAGE.split("\n")[0] + """
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value file overriding size caps for this command
+  --partition PARTITION
+  --n N
+  --m M
+""", "")),
+    (["star", "--element", "-1", "--n", "2"], (0, '[[],["1"]]\n', "")),
 ])
 def test_direct_parse_matches_full_parser(capsys, monkeypatch, argv, want):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this
@@ -314,20 +344,70 @@ def test_top_level_help_bytes(capsys, monkeypatch):
 
 
 def test_subcommand_call_skips_the_top_level_parse(capsys, monkeypatch):
-    from howekit import cli
-    parser, _ = cli._build_parser()
+    # a plain call is read from the flag tables alone; any other call goes
+    # once through the full parser, which hands it to the subcommand's
     calls = []
+    parse = argparse.ArgumentParser.parse_known_args
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return type(parser).parse_known_args(parser, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
 
-    monkeypatch.setitem(vars(parser), "parse_known_args", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        counting)
     assert run(capsys, HAT) == (0, "[3,2,2,1,0]\n", "")
-    assert run(capsys, KOSTANT + ["extra"])[0] == 2
     assert calls == []
+    assert run(capsys, KOSTANT + ["extra"])[0] == 2
+    assert calls == ["howekit", "howekit kostant"]
     assert run(capsys, ["bogus"])[0] == 2
-    assert len(calls) == 1
+    assert calls == ["howekit", "howekit kostant", "howekit"]
+
+
+EDGE_ARGVS = [
+    (HAT + ["--n", "4"], True),
+    (["hat", "--partition=", "--n", "2", "--m", "2"], True),
+    (["hat", "--partition=5,4", "--n=4", "--m=5"], True),
+    (["hat", "--partition", "", "--n", "2", "--m", "2"], True),
+    (KOSTANT + ["--twisted", "--twisted"], True),
+    (KOSTANT + ["--config", "caps.conf"], True),
+    (["star", "--element", "-1", "--n", "2"], True),
+    (["verify-generalized", "--n", "1", "--r", "1"], True),
+    (["charge", "--king", "[[],[]]", "--m", "2"], True),
+    (KOSTANT + ["--twisted=1"], False),
+    (KOSTANT + ["--twisted=-1"], False),
+    (["hat", "--partition", "--n", "--n", "2", "--m", "2"], False),
+    (HAT + ["--config"], False),
+    (["hat", "--partition", "1", "--n", "2", "--m", "2", "--par", "2"],
+     False),
+    (HAT + ["-h"], False),
+    (HAT + ["--help"], False),
+    (HAT + ["--", "x"], False),
+    (HAT + ["x"], False),
+    (KOSTANT[:-1] + ["-x"], False),
+    (["hat", "--m", "x", "--partition", "1", "--n", "1"], False),
+    (["hat", "--m=", "--partition", "1", "--n", "1"], False),
+    (HAT[:-2], False),
+    (KOSTANT + ["--bogus", "1"], False),
+    (["kost"] + KOSTANT[1:], False),
+    (["--config", "x"] + HAT, False),
+    ([], False),
+]
+
+
+def test_one_pass_reader_agrees_with_argparse():
+    from howekit import cli
+    parser, commands = cli._build_parser()
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "perfbench", "queries.json")) as f:
+        recorded = [e["argv"] for entries in json.load(f)["kinds"].values()
+                    for e in entries]
+    assert len(recorded) == 1256
+    for argv, fast in [(argv, True) for argv in recorded] + EDGE_ARGVS:
+        argv = cli._glue_negative_values(argv)
+        ns = cli._fast_parse(commands, argv)
+        assert (ns is not None) == fast, argv
+        if fast:
+            assert vars(ns) == vars(parser.parse_args(argv)), argv
 
 
 def test_config_cap_trips(capsys, tmp_path):

@@ -161,7 +161,8 @@ PROCESS_CACHES = {
     ("characters", "_weyl_character_cached"):
         "one alternant quotient per (lam, family, rank)",
     ("cli", "_build_parser"):
-        "the argparse parser, built once per process on first use",
+        "the argparse parser and the flag tables read from the same "
+        "declarations, built once per process on first use",
     ("crystals", "_f_map"):
         "the crystal operator map of one (i, n), shared by every element",
     ("partfn", "_counter_for"):
