@@ -197,16 +197,20 @@ def star_inverse(t, n=None, m=None):
         raise HowekitError("expected %d columns, got %d" % (n, len(t.columns)))
     if n < 1:
         raise HowekitError("rank must be positive")
+    return TensorElement._trusted(_star_inverse_cols(t.columns, n, m), n)
+
+
+def _star_inverse_cols(columns, n, m):
+    # star_inverse's columns, from n King columns over a rank-m alphabet.
     # tilde[k]: the King columns holding key k, in increasing order;
     # letters above m have no column of b
     tilde = [[] for _ in range(2 * m + 1)]
-    for i, col in enumerate(t.columns, 1):
+    for i, col in enumerate(columns, 1):
         for k in col:
             if k <= 2 * m:
                 tilde[k].append(i)
-    cols = tuple(tuple(-x for x in range(n, 0, -1) if x not in tilde[k])
-                 + tuple(tilde[k + 1]) for k in range(1, 2 * m, 2))
-    return TensorElement._trusted(cols, n)
+    return tuple([tuple([-x for x in range(n, 0, -1) if x not in tilde[k]])
+                  + tuple(tilde[k + 1]) for k in range(1, 2 * m, 2)])
 
 
 def king_weight(t):
@@ -314,29 +318,41 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
     return king_tableaux_by_weight(shape, m, n).get(target, [])
 
 
-def star_pairing(vertices, lam_hat, mu_hat, n, m, expected=None):
+def star_pairing(vertices, lam_hat, mu_hat, n, m):
     """Pair each vertex with its star image; check that this is a
     bijection onto the King tableaux of shape lam_hat and weight mu_hat,
-    with star_inverse undoing it.  Those tableaux are the expected list,
-    enumerated here, after every vertex has passed, when it is None.
+    with star_inverse undoing it.  Those tableaux are enumerated after
+    every vertex has passed.
 
     Returns (pairs, None), or (None, failure) where failure holds the
     "reason" and the offending "element" or the "missing" tableaux.
     verify_bijection calls _pair_cell with each lam_hat's inputs prebuilt.
     """
     return _pair_cell(vertices, lam_hat, conjugate(lam_hat).stripped(),
-                      mu_hat, n, m, expected)
+                      mu_hat, n, m, None)
 
 
 def _pair_cell(vertices, lam_hat, heights, mu_hat, n, m, expected):
     """star_pairing given the column heights of lam_hat, which a star
-    image's nonzero column heights, sorted, match iff it has that shape."""
+    image's nonzero column heights, sorted, match iff it has that shape,
+    and given its King tableaux of weight mu_hat, the expected list.
+
+    An image equal to a tableau of the expected list passes: the list
+    holds only King tableaux of that shape and weight.  The shape, weight
+    and King tests run, in that order, only on an image outside the list,
+    or on every image when expected is None.
+    """
     pairs = []
     images = set()
+    table = () if expected is None else {t.columns for t in expected}
     for b in vertices:
         t = star(b)
-        if star_inverse(t, n, m) != b:
+        if b.n != n:
+            star_inverse(t, n, m)  # raises its column-count error
+        if _star_inverse_cols(t.columns, n, m) != b.columns:
             reason = "star not invertible"
+        elif t.m == m and t.columns in table:
+            reason = None
         elif tuple(sorted(filter(None, map(len, t.columns)),
                           reverse=True)) != heights:
             reason = "shape mismatch"
@@ -345,10 +361,11 @@ def _pair_cell(vertices, lam_hat, heights, mu_hat, n, m, expected):
         elif not is_king_tableau(t):
             reason = "image not King"
         else:
-            images.add(t)
-            pairs.append((b, t))
-            continue
-        return None, {"element": b.to_json_obj(), "reason": reason}
+            reason = None
+        if reason is not None:
+            return None, {"element": b.to_json_obj(), "reason": reason}
+        images.add(t)
+        pairs.append((b, t))
     if expected is None:
         expected = enumerate_king_tableaux(lam_hat, mu_hat, m, n)
     if images != set(expected):

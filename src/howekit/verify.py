@@ -290,7 +290,9 @@ def verify_bijection(n, m):
     mu_prime and lam next to the failure of duality.star_pairing.  One
     walk lists every mu' with its vertices and their weights; each lam's
     weight, hat(lam) and its column heights and King tableaux are built
-    once.  A cell with no vertex and no King tableau counts, unpaired.
+    once.  An image found among those tableaux has their shape, weight
+    and King condition, so only an image outside them is tested for
+    each.  A cell with no vertex and no King tableau counts, unpaired.
     """
     choices = _height_choices(n, m)
     lams = _rectangle(n, m)

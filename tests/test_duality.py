@@ -13,7 +13,8 @@ from howekit import (HowekitError, KingElement, KingEntry, LimitExceeded,
                      star, star_inverse, tilde_expand,
                      verify_combinatorial_howe, weight_multiplicity)
 from howekit.bicrystal import dilate, kappa, king_e, king_f
-from howekit.duality import king_tableaux_by_weight, star_pairing
+from howekit.duality import (_star_inverse_cols, king_tableaux_by_weight,
+                             star_pairing)
 
 
 def K(cols, m):
@@ -312,9 +313,27 @@ def test_star_images_equal_validated_ones():
                 _assert_validated(star_inverse(t, n, m), b)
 
 
+def test_star_inverse_kernel_undoes_star():
+    # the pairing checks the round trip on raw columns, through the
+    # kernel under star_inverse; every element, not only highest weight
+    for n in (1, 2):
+        for m in (1, 2, 3):
+            for b in _all_elements(n, m):
+                t = star(b)
+                cols = _star_inverse_cols(t.columns, n, m)
+                assert cols == b.columns == star_inverse(t, n, m).columns
+
+
 def test_star_inverse_keeps_the_rank_check():
     with pytest.raises(HowekitError, match="^rank must be positive$"):
         star_inverse(KingElement([], 1))
+    # the pairing keeps star_inverse's column-count error: a rank-2 vertex
+    # at n = 1 or n = 0 has two King columns
+    b = TensorElement([(-2,)], 2)
+    for n in (1, 0):
+        with pytest.raises(HowekitError,
+                           match="^expected %d columns, got 2$" % n):
+            star_pairing([b], Partition((1,)), (1,), n, 1)
 
 
 def test_king_table_entries_equal_validated_ones():

@@ -5,16 +5,17 @@ import json
 
 import pytest
 
-from howekit import (DiagramSpec, HowekitError, LaurentPolynomial,
-                     LimitExceeded, MultiPartition, Partition,
-                     TensorElement, branching_coefficient, char_product,
+from howekit import (DiagramSpec, HowekitError, KingElement,
+                     LaurentPolynomial, LimitExceeded, MultiPartition,
+                     Partition, branching_coefficient, char_product,
                      conjugate, decompose, elem_sym, enumerate_king_tableaux,
-                     enumerate_rectangle, hat,
-                     injectivity_scan, limits, multiplicity_branch_route,
-                     multiplicity_char_route, verify_bijection,
-                     verify_contraction, verify_generalized_duality,
-                     verify_howe_duality, verify_jdt, verify_schur_duality,
-                     weight_multiplicity)
+                     enumerate_rectangle, hat, injectivity_scan,
+                     is_king_tableau, king_weight, limits,
+                     multiplicity_branch_route, multiplicity_char_route,
+                     verify_bijection, verify_contraction,
+                     verify_generalized_duality, verify_howe_duality,
+                     verify_jdt, verify_schur_duality, weight_multiplicity)
+from howekit.duality import king_tableaux_by_weight
 from howekit.weyl import positive_roots
 
 
@@ -147,12 +148,9 @@ def test_bijection_reports_every_non_invertible_vertex(monkeypatch):
     # an inverse that reverses the columns undoes star only on the
     # vertices whose columns read the same both ways, (-1), (-1) here
     from howekit import duality
-    real = duality.star_inverse
-
-    def reversing(t, n=None, m=None):
-        b = real(t, n, m)
-        return TensorElement(b.columns[::-1], b.n)
-    monkeypatch.setattr(duality, "star_inverse", reversing)
+    real = duality._star_inverse_cols
+    monkeypatch.setattr(duality, "_star_inverse_cols",
+                        lambda columns, n, m: real(columns, n, m)[::-1])
     rep = verify_bijection(1, 2)
     assert rep["cells"] == 27
     assert [(f["mu_prime"], f["lam"], f["element"]) for f in rep["failures"]
@@ -166,6 +164,64 @@ def test_bijection_reports_every_non_invertible_vertex(monkeypatch):
         ([2, 1], [1], [[-1, 1], [-1]]),
     ]
     assert len(rep["failures"]) == 7
+
+
+# The first vertex of every nonempty cell of verify_bijection(1, 2), with
+# its mu' and lam, in sweep order.
+_FIRST_VERTICES = [
+    ([0, 0], [], [[], []]),
+    ([0, 1], [1], [[], [-1]]),
+    ([0, 2], [], [[], [-1, 1]]),
+    ([1, 0], [1], [[-1], []]),
+    ([1, 1], [], [[-1], [1]]),
+    ([1, 1], [2], [[-1], [-1]]),
+    ([1, 2], [1], [[-1], [-1, 1]]),
+    ([2, 0], [], [[-1, 1], []]),
+    ([2, 1], [1], [[-1, 1], [-1]]),
+    ([2, 2], [], [[-1, 1], [-1, 1]]),
+]
+
+
+def _tall_image(t):
+    # a key above 2m: star_inverse drops it, the column gets taller
+    return (t.columns[0] + (2 * t.m + 1,),) + t.columns[1:], t.m
+
+
+def _wide_alphabet_image(t):
+    # the same columns over one more letter pair: a_{m+1} = 0 is added
+    return t.columns, t.m + 1
+
+
+def _low_key_image(t):
+    # row 1's key k becomes k - (2m + 1) < 1; star_inverse and king_weight
+    # index their tables with it, so they read it as k
+    first = t.columns[0]
+    if first:
+        first = (first[0] - 2 * t.m - 1,) + first[1:]
+    return (first,) + t.columns[1:], t.m
+
+
+@pytest.mark.parametrize("image, reason, skipped", [
+    (_tall_image, "shape mismatch", None),
+    (_wide_alphabet_image, "weight mismatch", None),
+    # star([[-1], [-1]]) is the empty column, King whatever its keys
+    (_low_key_image, "image not King", [[-1], [-1]]),
+])
+def test_bijection_reports_each_image_check_in_order(monkeypatch, image,
+                                                     reason, skipped):
+    # each bad image round-trips and is missing from its King table, so it
+    # reaches the shape, weight and King checks, in that order; the full
+    # report pins that order and each check's message
+    from howekit import duality
+    real = duality.star
+    monkeypatch.setattr(duality, "star", lambda b: KingElement._trusted(
+        *image(real(b))))
+    rep = verify_bijection(1, 2)
+    assert rep["cells"] == 27
+    assert json.dumps(rep["failures"]) == json.dumps([
+        {"element": element, "reason": reason, "mu_prime": mu_prime,
+         "lam": lam}
+        for mu_prime, lam, element in _FIRST_VERTICES if element != skipped])
 
 
 def test_bijection_reports_weights_outside_the_rectangle(monkeypatch):
@@ -195,11 +251,13 @@ def test_bijection_reports_weights_outside_the_rectangle(monkeypatch):
 
 def test_bijection_stars_each_vertex_once(monkeypatch):
     # one star per highest weight vertex of the sweep, one King table per
-    # lam, and no pairing call for a cell with nothing in it
+    # lam, no pairing call for a cell with nothing in it, and no King test
+    # of an image found in its table
     from howekit import duality, verify
     from howekit.crystals import _highest_weight_elements
     n, m = 2, 3
     starred = _counting(monkeypatch, duality, "star")
+    king_tests = _counting(monkeypatch, duality, "is_king_tableau")
     tables = _counting(monkeypatch, verify, "king_tableaux_by_weight")
     cells = _counting(monkeypatch, verify, "_pair_cell")
     rep = verify_bijection(n, m)
@@ -212,6 +270,25 @@ def test_bijection_stars_each_vertex_once(monkeypatch):
     assert [args[0] for args in tables] == [
         hat(lam, n, m) for lam in enumerate_rectangle(n, m)]
     assert len(cells) == 1250 - 936
+    assert king_tests == []
+
+
+def test_king_tables_hold_only_what_the_image_tests_accept():
+    # verify_bijection pairs a star image found in its lam's table without
+    # testing its shape, weight or King condition: every entry passes them
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for lam in enumerate_rectangle(n, m):
+                lam_hat = hat(lam, n, m)
+                heights = conjugate(lam_hat).stripped()
+                table = king_tableaux_by_weight(lam_hat, m, n)
+                for key, bucket in table.items():
+                    for t in bucket:
+                        assert t.m == m and len(t.columns) == n
+                        assert tuple(sorted(filter(None, t.heights()),
+                                            reverse=True)) == heights
+                        assert king_weight(t) == key
+                        assert is_king_tableau(t)
 
 
 def test_bijection_checks_each_B_against_enum_cap():
