@@ -27,8 +27,7 @@ from operator import gt
 
 from ._value import Value
 from .crystals import TensorElement, _lower, _raise, is_admissible
-from .duality import (KingElement, KingEntry, king_weight, star, star_inverse,
-                      tilde_expand)
+from .duality import KingElement, king_weight, star, star_inverse
 from .errors import HowekitError
 
 
@@ -39,11 +38,11 @@ def _king_f_map(idx, m):
     if idx > 0:
         if not 1 <= j <= m:
             raise HowekitError("unbarred index %d outside 1..%d" % (j, m))
-        return {KingEntry(j, False).key(): KingEntry(j, True).key()}
+        return {2 * j - 1: 2 * j}
     if idx < 0:
         if not 1 <= j <= m - 1:
             raise HowekitError("barred index %d outside 1..%d" % (j, m - 1))
-        return {KingEntry(j, True).key(): KingEntry(j + 1, False).key()}
+        return {2 * j: 2 * j + 1}
     raise HowekitError("operator index must be nonzero")
 
 
@@ -130,11 +129,10 @@ def bar_complement(b):
     >>> bar_complement(TensorElement([(-3, 1, 5), (-5, -1, 2, 4, 5)], 5)).to_json_obj()
     [[-3], [-4, -3, -2], [-5, -1], [-3, -1]]
     """
-    # cbar_j and cbar_jbar are the negated complements of ctilde_j and
-    # ctilde_jbar
     n = b.n
-    return BarComplement([tuple(-x for x in range(n, 0, -1) if x not in c)
-                          for c in tilde_expand(b)], n)
+    return BarComplement([col for c in b.columns for col in (
+        tuple(x for x in c if x < 0),
+        tuple(-x for x in range(n, 0, -1) if x not in c))], n)
 
 
 def from_bar_complement(bc):

@@ -257,17 +257,6 @@ def enumerate_B(mu_prime, n):
         yield TensorElement(cols, n)
 
 
-def _highest_weight_elements(mu_prime, n):
-    """The highest weight elements of B_{mu'}, in enumerate_B's order.
-
-    >>> [b.word() for b in _highest_weight_elements((1, 1), 2)]
-    [(-2, -2), (-2, -1), (-2, 2)]
-    """
-    heights = _checked_heights(mu_prime, n)
-    [(_, pairs)] = _highest_weight_walk([(h,) for h in heights], n)
-    return (b for b, _ in pairs)
-
-
 def _highest_weight_walk(choices, n):
     """(mu', [(b, weight_of(b)) for the highest weight b of B_{mu'}]) for
     each mu' in product(*choices) order, each list in enumerate_B's order;
@@ -312,13 +301,15 @@ def _highest_weight_walk(choices, n):
 
 
 def highest_weight_vertices(mu_prime, lam, n):
-    """The set B^hw_{mu', lam}: highest weight vertices of a given weight."""
+    """The set B^hw_{mu', lam}: highest weight vertices of a given weight,
+    in enumerate_B's order, read off the highest weight walk's weights."""
     target = tuple(int(x) for x in lam)
     target += (0,) * (n - len(target))
     if len(target) != n:
         raise HowekitError("weight %r does not have %d coordinates" % (lam, n))
-    return [b for b in _highest_weight_elements(mu_prime, n)
-            if weight_of(b) == target]
+    heights = _checked_heights(mu_prime, n)
+    [(_, pairs)] = _highest_weight_walk([(h,) for h in heights], n)
+    return [b for b, w in pairs if w == target]
 
 
 def highest_weight_seed(lam, n, m=None):

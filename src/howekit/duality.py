@@ -135,11 +135,6 @@ class KingElement(Value):
         """Conjugate of the column heights, as a partition."""
         return conjugate(sorted(self.heights(), reverse=True))
 
-    def replace(self, i, column):
-        cols = list(self.columns)
-        cols[i] = column
-        return KingElement(cols, self.m)
-
     def __repr__(self):
         return "KingElement(%r, %d)" % (self.to_json_obj(), self.m)
 
@@ -321,34 +316,36 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
 def star_pairing(vertices, lam_hat, mu_hat, n, m):
     """Pair each vertex with its star image; check that this is a
     bijection onto the King tableaux of shape lam_hat and weight mu_hat,
-    with star_inverse undoing it.  Those tableaux are enumerated after
-    every vertex has passed.
+    with star_inverse undoing it.  Every vertex's rank is checked first,
+    with star_inverse's column-count error, and those tableaux are then
+    enumerated.
 
     Returns (pairs, None), or (None, failure) where failure holds the
     "reason" and the offending "element" or the "missing" tableaux.
     verify_bijection calls _pair_cell with each lam_hat's inputs prebuilt.
     """
-    return _pair_cell(vertices, lam_hat, conjugate(lam_hat).stripped(),
-                      mu_hat, n, m, None)
+    for b in vertices:
+        if b.n != n:
+            raise HowekitError("expected %d columns, got %d" % (n, b.n))
+    return _pair_cell(vertices, conjugate(lam_hat).stripped(), mu_hat, n, m,
+                      enumerate_king_tableaux(lam_hat, mu_hat, m, n))
 
 
-def _pair_cell(vertices, lam_hat, heights, mu_hat, n, m, expected):
-    """star_pairing given the column heights of lam_hat, which a star
-    image's nonzero column heights, sorted, match iff it has that shape,
-    and given its King tableaux of weight mu_hat, the expected list.
+def _pair_cell(vertices, heights, mu_hat, n, m, expected):
+    """star_pairing given vertices of rank n, the column heights of
+    lam_hat, which a star image's nonzero column heights, sorted, match
+    iff it has that shape, and its King tableaux of weight mu_hat, the
+    expected list.
 
     An image equal to a tableau of the expected list passes: the list
     holds only King tableaux of that shape and weight.  The shape, weight
-    and King tests run, in that order, only on an image outside the list,
-    or on every image when expected is None.
+    and King tests run, in that order, only on an image outside the list.
     """
     pairs = []
     images = set()
-    table = () if expected is None else {t.columns for t in expected}
+    table = {t.columns for t in expected}
     for b in vertices:
         t = star(b)
-        if b.n != n:
-            star_inverse(t, n, m)  # raises its column-count error
         if _star_inverse_cols(t.columns, n, m) != b.columns:
             reason = "star not invertible"
         elif t.m == m and t.columns in table:
@@ -366,8 +363,6 @@ def _pair_cell(vertices, lam_hat, heights, mu_hat, n, m, expected):
             return None, {"element": b.to_json_obj(), "reason": reason}
         images.add(t)
         pairs.append((b, t))
-    if expected is None:
-        expected = enumerate_king_tableaux(lam_hat, mu_hat, m, n)
     if images != set(expected):
         missing = [t.to_json_obj() for t in expected if t not in images]
         return None, {"reason": "image set mismatch", "missing": missing}
@@ -381,11 +376,15 @@ def verify_combinatorial_howe(n, m, mu_prime, lam):
     tableaux of shape hat(lam) and weight hat(mu).
 
     Returns a report dict with the explicit pairing; on failure the
-    offending element is recorded under "failure".
+    offending element is recorded under "failure".  A mu_prime without
+    exactly m heights raises before anything is built.
     """
     mu_prime = tuple(int(h) for h in mu_prime)
+    if len(mu_prime) != m:
+        raise HowekitError("mu_prime has %d column heights, expected m = %d"
+                           % (len(mu_prime), m))
     lam = Partition(lam)
-    lam_hat = hat(lam, n, len(mu_prime))
+    lam_hat = hat(lam, n, m)
     # mu_hat coordinates may be negative when a column is taller than n;
     # King tableau weights are honest weight vectors, not partitions
     mu_hat = tuple(n - h for h in reversed(mu_prime))

@@ -289,17 +289,16 @@ def verify_bijection(n, m):
     hat(mu), with star_inverse undoing the map.  A failed cell lists its
     mu_prime and lam next to the failure of duality.star_pairing.  One
     walk lists every mu' with its vertices and their weights; each lam's
-    weight, hat(lam) and its column heights and King tableaux are built
-    once.  An image found among those tableaux has their shape, weight
-    and King condition, so only an image outside them is tested for
-    each.  A cell with no vertex and no King tableau counts, unpaired.
+    weight, the column heights of hat(lam) and its King tableaux are
+    built once, and duality._pair_cell pairs each cell as star_pairing
+    does.  A cell with no vertex and no King tableau counts, unpaired.
     """
     choices = _height_choices(n, m)
     lams = _rectangle(n, m)
     cells = []
     for lam in lams:
         lam_hat = hat(lam, n, m)
-        cells.append((lam.padded(n), list(lam.stripped()), lam_hat,
+        cells.append((lam.padded(n), list(lam.stripped()),
                       conjugate(lam_hat).stripped(),
                       king_tableaux_by_weight(lam_hat, m, n)))
     weights = {cell[0] for cell in cells}
@@ -314,29 +313,25 @@ def verify_bijection(n, m):
             if w not in weights:
                 fails.append({"mu_prime": mu_tag, "weight": list(w),
                               "reason": "weight outside rectangle"})
-        for w, lam_tag, lam_hat, heights, table in cells:
+        for w, lam_tag, heights, table in cells:
             vertices = buckets.get(w, [])
             expected = table.get(mu_hat, [])
             if vertices or expected:
-                _, failure = _pair_cell(vertices, lam_hat, heights, mu_hat,
-                                        n, m, expected)
+                _, failure = _pair_cell(vertices, heights, mu_hat, n, m,
+                                        expected)
                 if failure is not None:
                     fails.append(dict(failure, mu_prime=mu_tag, lam=lam_tag))
         yield len(lams), fails
 
 
-def _removed_pair(before, after, j):
-    """The letters dropped from column j, or None on any other change."""
-    for i, (x, y) in enumerate(zip(before.columns, after.columns)):
-        if i != j - 1 and x != y:
-            return None
+def _removes_pair(before, after, j):
+    """Whether after is before with one pair (bar k, k) dropped from
+    column j and every other column unchanged."""
     old, new = set(before.columns[j - 1]), set(after.columns[j - 1])
-    if not new <= old:
-        return None
     gone = sorted(old - new)
-    if len(gone) != 2 or gone[0] != -gone[1]:
-        return None
-    return gone
+    return (before.columns[:j - 1] + before.columns[j:]
+            == after.columns[:j - 1] + after.columns[j:]
+            and new <= old and len(gone) == 2 and gone[0] == -gone[1])
 
 
 @_reported
@@ -345,14 +340,14 @@ def verify_contraction(n, m):
     every crystal operator e_i, 0 <= i <= n-1, as partial maps."""
     for mu_tag, b in _vertices(n, m):
         fails = []
+        raised = [crystal_e(i, b) for i in range(n)]
         for j in range(1, m + 1):
             kb = kappa(j, b)
-            if kb is not None and _removed_pair(b, kb, j) is None:
+            if kb is not None and not _removes_pair(b, kb, j):
                 fails.append({"mu_prime": mu_tag,
                               "element": b.to_json_obj(), "j": j,
                               "reason": "not a pair removal"})
-            for i in range(n):
-                eb = crystal_e(i, b)
+            for i, eb in enumerate(raised):
                 left = kappa(j, eb) if eb is not None else None
                 right = crystal_e(i, kb) if kb is not None else None
                 if left != right:

@@ -340,9 +340,16 @@ def test_decompose_round_trip_random_sums():
 
 
 def test_decompose_rejects_non_characters():
-    x = LaurentPolynomial.monomial((1, 0))
-    with pytest.raises(NotACharacter):
-        decompose(x, "C", 2)
+    # x1 is moved by the coordinate swap; x1 + x2 is fixed by it, and only
+    # the type C sign change moves it
+    for exps in ([(1, 0)], [(1, 0), (0, 1)]):
+        p = LaurentPolynomial(2, {e: 1 for e in exps})
+        with pytest.raises(NotACharacter) as info:
+            decompose(p, "C", 2)
+        assert str(info.value) == "input is not Weyl invariant"
+    # the swaps alone pass x1 + x2 in type A
+    assert dict(decompose(LaurentPolynomial(2, {(1, 0): 1, (0, 1): 1}),
+                          "A", 2).items()) == {(1,): 1}
     neg = weyl_character((1, 1), "C", 2).scale(-1)
     with pytest.raises(NotACharacter):
         decompose(neg, "C", 2)

@@ -12,7 +12,8 @@ from howekit import (CrystalGraph, HowekitError, LaurentPolynomial, LimitExceede
                      highest_weight_vertices, is_admissible, is_coadmissible,
                      is_highest_weight, weight_of, weyl_character)
 from howekit import limits
-from howekit.crystals import _highest_weight_elements, _highest_weight_walk
+from howekit import crystals
+from howekit.crystals import _highest_weight_walk
 
 
 def all_elements(mu_prime, n):
@@ -117,7 +118,11 @@ def test_highest_weight_generator_matches_filter():
     for n, m in cases:
         for mu_p in itertools.product(range(2 * n + 1), repeat=m):
             want = highest_weight_oracle(mu_p, n)
-            assert list(_highest_weight_elements(mu_p, n)) == want, (n, mu_p)
+            [(_, pairs)] = _highest_weight_walk([(h,) for h in mu_p], n)
+            assert [b for b, _ in pairs] == want, (n, mu_p)
+            for w in {weight_of(b) for b in want}:
+                assert highest_weight_vertices(mu_p, w, n) == [
+                    b for b in want if weight_of(b) == w], (n, mu_p, w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -142,7 +147,14 @@ def test_highest_weight_generator_walks_many_columns():
         TensorElement([(-1, 1)] * 600, 1)]
 
 
-@pytest.mark.parametrize("enum", [enumerate_B, _highest_weight_elements])
+def _vertices_of_weight_221(mu_p, n):
+    # highest_weight_vertices as an iterator, at the weight (2, 2, 1) of
+    # the vertex (3bar, 2bar, 1bar) (3bar, 2bar) of B_{(3, 2)}, n = 3
+    return iter(highest_weight_vertices(mu_p, (2, 2, 1), n))
+
+
+@pytest.mark.parametrize("enum", [enumerate_B, _vertices_of_weight_221],
+                         ids=["enumerate_B", "highest_weight_vertices"])
 def test_B_enumerations_check_heights_and_cap(enum):
     with pytest.raises(HowekitError, match=r"column height 7 outside 0\.\.6"):
         next(enum((1, 7), 3))
@@ -226,8 +238,10 @@ def test_highest_weight_elements_equal_validated_ones():
     cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3), (3, 3)]
     for n, m in cases:
         for mu_p in itertools.product(range(2 * n + 1), repeat=m):
-            for b in _highest_weight_elements(mu_p, n):
-                _assert_validated(b)
+            [(_, pairs)] = _highest_weight_walk([(h,) for h in mu_p], n)
+            for w in {w for _, w in pairs}:
+                for b in highest_weight_vertices(mu_p, w, n):
+                    _assert_validated(b)
 
 
 def test_operator_images_equal_validated_ones():
@@ -244,4 +258,16 @@ def test_operator_images_equal_validated_ones():
 
 def test_highest_weight_elements_keep_the_rank_check():
     with pytest.raises(HowekitError, match="^rank must be positive$"):
-        next(_highest_weight_elements((), 0))
+        highest_weight_vertices((), (), 0)
+
+
+def test_highest_weight_vertices_read_weights_off_the_walk(monkeypatch):
+    # the walk carries each vertex's weight, so no weight_of call is made
+    want = [b for b in highest_weight_oracle((2, 1, 2), 2)
+            if weight_of(b) == (2, 1)]
+    calls = []
+    real = crystals.weight_of
+    monkeypatch.setattr(crystals, "weight_of",
+                        lambda b: calls.append(b) or real(b))
+    assert want and highest_weight_vertices((2, 1, 2), (2, 1), 2) == want
+    assert calls == []

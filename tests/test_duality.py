@@ -275,6 +275,35 @@ def test_star_pairing_failure_paths():
         None, {"element": [[-2, -1, 1]], "reason": "weight mismatch"})
 
 
+def test_star_pairing_checks_every_rank_before_enumerating(monkeypatch):
+    # a wrong-rank vertex after a good one raises star_inverse's error
+    # before any star or King enumeration
+    from howekit import duality
+    calls = []
+    for name in ("star", "enumerate_king_tableaux", "king_tableaux_by_weight"):
+        monkeypatch.setattr(duality, name,
+                            lambda *a, name=name: calls.append(name))
+    good, wide = TensorElement([(-2,)], 2), TensorElement([(-3,)], 3)
+    with pytest.raises(HowekitError, match="^expected 2 columns, got 3$"):
+        star_pairing([good, wide], Partition((1,)), (1,), 2, 1)
+    assert calls == []
+
+
+def test_combinatorial_howe_rejects_a_mismatched_m(monkeypatch):
+    # two heights in mu' at m = 3 once gave a "star not invertible"
+    # failure; it now raises, naming both numbers, before anything is built
+    from howekit import duality
+    calls = []
+    for name in ("highest_weight_vertices", "star", "star_pairing",
+                 "enumerate_king_tableaux", "hat"):
+        monkeypatch.setattr(duality, name,
+                            lambda *a, name=name: calls.append(name))
+    with pytest.raises(HowekitError) as info:
+        verify_combinatorial_howe(2, 3, (2, 1), (1,))
+    assert str(info.value) == "mu_prime has 2 column heights, expected m = 3"
+    assert calls == []
+
+
 def test_king_json_round_trip():
     t = K([[(1, False), (2, True)], [(2, False)]], 2)
     assert KingElement.from_json_obj(t.to_json_obj(), 2) == t

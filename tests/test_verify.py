@@ -1,5 +1,6 @@
 """End-to-end sweep drivers and the injectivity scanner."""
 
+import hashlib
 import itertools
 import json
 
@@ -8,13 +9,15 @@ import pytest
 from howekit import (DiagramSpec, HowekitError, KingElement,
                      LaurentPolynomial, LimitExceeded, MultiPartition,
                      Partition, branching_coefficient, char_product,
-                     conjugate, decompose, elem_sym, enumerate_king_tableaux,
+                     conjugate, decompose, elem_sym, enumerate_B,
+                     enumerate_king_tableaux,
                      enumerate_rectangle, hat, injectivity_scan,
                      is_king_tableau, king_weight, limits,
                      multiplicity_branch_route, multiplicity_char_route,
                      verify_bijection, verify_contraction,
                      verify_generalized_duality, verify_howe_duality,
                      verify_jdt, verify_schur_duality, weight_multiplicity)
+from howekit.bicrystal import kappa
 from howekit.duality import king_tableaux_by_weight
 from howekit.weyl import positive_roots
 
@@ -254,7 +257,7 @@ def test_bijection_stars_each_vertex_once(monkeypatch):
     # lam, no pairing call for a cell with nothing in it, and no King test
     # of an image found in its table
     from howekit import duality, verify
-    from howekit.crystals import _highest_weight_elements
+    from howekit.crystals import _highest_weight_walk
     n, m = 2, 3
     starred = _counting(monkeypatch, duality, "star")
     king_tests = _counting(monkeypatch, duality, "is_king_tableau")
@@ -262,9 +265,8 @@ def test_bijection_stars_each_vertex_once(monkeypatch):
     cells = _counting(monkeypatch, verify, "_pair_cell")
     rep = verify_bijection(n, m)
     assert (rep["cells"], rep["failures"]) == (1250, [])
-    vertices = [b for mu_prime in itertools.product(range(2 * n + 1),
-                                                    repeat=m)
-                for b in _highest_weight_elements(mu_prime, n)]
+    vertices = [b for _, pairs in _highest_weight_walk(
+                    [range(2 * n + 1)] * m, n) for b, _ in pairs]
     assert len(starred) == len(vertices) == len(set(vertices))
     assert {b for b, in starred} == set(vertices)
     assert [args[0] for args in tables] == [
@@ -305,6 +307,47 @@ def test_contraction_and_jdt_reports():
     assert rep["failures"] == []
     rep = verify_jdt(2, 1)
     assert rep["failures"] == []
+
+
+def test_contraction_reports_a_broken_kappa_in_order(monkeypatch):
+    # a kappa that, on a third of the (j, b), stands in kappa_2 for
+    # kappa_1 or vanishes for j = 2; the report was recorded before the
+    # sweep raised each vertex once for all j
+    from howekit import verify
+    real = verify.kappa
+
+    def broken(j, b):
+        if (j + sum(b.word())) % 3:
+            return real(j, b)
+        return real(2, b) if j == 1 else None
+
+    monkeypatch.setattr(verify, "kappa", broken)
+    fails = verify_contraction(2, 2)["failures"]
+    assert len(fails) == 181
+    assert sum(f["reason"] == "not a pair removal" for f in fails) == 32
+    assert fails[:3] == [
+        {"mu_prime": [0, 3], "element": [[], [-2, -1, 2]], "j": 1,
+         "reason": "not a pair removal"},
+        {"mu_prime": [0, 3], "element": [[], [-2, -1, 2]], "j": 1, "i": 1,
+         "reason": "commutation broken"},
+        {"mu_prime": [0, 3], "element": [[], [-2, -1, 2]], "j": 2, "i": 1,
+         "reason": "commutation broken"}]
+    assert hashlib.sha256(json.dumps(fails).encode()).hexdigest() == (
+        "9882cf55f5d3fa6801388fdde00f496fe180d4d4d805805b8a2d754b2f6019a6")
+
+
+def test_contraction_raises_each_vertex_once(monkeypatch):
+    # n raises of each vertex, shared by every j, and one raise of each
+    # contraction that does not vanish
+    from howekit import verify
+    n, m = 2, 2
+    expected = sum(n + n * sum(kappa(j, b) is not None
+                               for j in range(1, m + 1))
+                   for mu_p in itertools.product(range(2 * n + 1), repeat=m)
+                   for b in enumerate_B(mu_p, n))
+    raises = _counting(monkeypatch, verify, "crystal_e")
+    assert verify_contraction(n, m)["failures"] == []
+    assert len(raises) == expected
 
 
 def test_generalized_duality_report():
