@@ -234,10 +234,12 @@ def delta_count(j, b):
 
 
 def dilate_fully(b):
-    """Dilate every column recursively as much as possible."""
-    for j in range(1, len(b.columns) + 1):
-        b = _string(partial(dilate, j), b)[0]
-    return b
+    """Dilate every column recursively as much as possible: the lowest
+    vertex of star(b), carried back.  An element with no columns has
+    nothing to dilate."""
+    if not b.columns:
+        return b
+    return star_inverse(to_lowest(star(b)), b.n, len(b.columns))
 
 
 def gamma_count(j, b_dil):

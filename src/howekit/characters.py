@@ -371,23 +371,14 @@ class CharacterDecomposition(Value):
 
 
 def _is_invariant(p, family, rank):
-    for i in range(rank - 1):
-        moved = {}
-        for exp, coef in p.terms.items():
-            e = list(exp)
-            e[i], e[i + 1] = e[i + 1], e[i]
-            moved[tuple(e)] = coef
-        if moved != p.terms:
-            return False
+    # invariant under W iff under its simple reflections: the adjacent
+    # swaps, then in type C the sign change of the last coordinate
+    reflections = [lambda e, i=i: e[:i] + (e[i + 1], e[i]) + e[i + 2:]
+                   for i in range(rank - 1)]
     if family == "C" and rank >= 1:
-        moved = {}
-        for exp, coef in p.terms.items():
-            e = list(exp)
-            e[-1] = -e[-1]
-            moved[tuple(e)] = coef
-        if moved != p.terms:
-            return False
-    return True
+        reflections.append(lambda e: e[:-1] + (-e[-1],))
+    return all({s(e): c for e, c in p.terms.items()} == p.terms
+               for s in reflections)
 
 
 def decompose(p, family, rank):

@@ -2,7 +2,8 @@
 
 Terms are a dict mapping exponent tuples (Z^nvars) to nonzero integer
 coefficients.  Instances are treated as immutable: every operation builds a
-new polynomial.  Products enforce the process-wide term cap.
+new polynomial.  A product checks its pairs of terms against the
+process-wide term cap before it forms any.
 """
 
 from operator import add
@@ -113,6 +114,8 @@ class LaurentPolynomial(Value):
         self._check_arity(other)
         cap = limits.get_cap("term_cap")
         a, b = self.terms, other.terms
+        if len(a) * len(b) > cap:
+            raise LimitExceeded("polynomial product exceeds term cap %d" % cap)
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -124,9 +127,6 @@ class LaurentPolynomial(Value):
                     out[key] = c
                 else:
                     del out[key]
-            if len(out) > cap:
-                raise LimitExceeded("polynomial product exceeds term cap %d"
-                                    % cap)
         return LaurentPolynomial._trusted(self.nvars, out)
 
     __rmul__ = __mul__

@@ -1,23 +1,20 @@
 """Size caps for the exact-arithmetic engines.
 
-All caps are process-wide and may be overridden programmatically (set_cap,
-or overridden for one with block), through a key=value config file for one
-cli command, or, for the polynomial term cap, through the environment
-variable HOWEKIT_TERM_CAP.  decompose() has no cap, being one pass over
-its input's terms, and neither has exact division, whose quotient's box
-bounds its loop.  The verification sweeps build no product polynomial:
-the term cap bounds each step of their decomposition chains instead, as
-the constituents so far times the terms of the next factor, checked
-before the step sorts any of them.
+All caps are process-wide.  They change only through overridden, for one
+with block, which is also how a key=value config file passed as --config
+applies its caps to one cli command.  The term cap counts the (term,
+term) pairs one polynomial product, or one step of a sweep's
+decomposition chain, may form, and is checked before any pair is
+formed.  decompose() has no cap, being one pass over its input's terms,
+and neither has exact division, whose quotient's box bounds its loop.
 """
 
-import os
 from contextlib import contextmanager
 
 _DEFAULTS = {
-    # maximum number of monomials a polynomial product may produce, and of
-    # (constituent, term) pairs one step of a sweep's decomposition chain
-    # may sort
+    # maximum number of (term, term) pairs one polynomial product, or
+    # (constituent, term) pairs one step of a sweep's decomposition chain,
+    # may form; checked before it forms any
     "term_cap": 10_000_000,
     # maximum number of vertices generate_crystal_graph will visit
     "vertex_cap": 1_000_000,
@@ -35,32 +32,18 @@ _overrides: dict = {}
 def get_cap(name):
     if name not in _DEFAULTS:
         raise KeyError("unknown cap %r" % name)
-    if name in _overrides:
-        return _overrides[name]
-    if name == "term_cap":
-        env = os.environ.get("HOWEKIT_TERM_CAP")
-        if env is not None:
-            return int(env)
-    return _DEFAULTS[name]
-
-
-def set_cap(name, value):
-    """Override a cap for this process.  value=None restores the default."""
-    if name not in _DEFAULTS:
-        raise KeyError("unknown cap %r" % name)
-    if value is None:
-        _overrides.pop(name, None)
-    else:
-        _overrides[name] = int(value)
+    return _overrides.get(name, _DEFAULTS[name])
 
 
 @contextmanager
 def overridden(caps):
-    """Apply caps (name -> int) inside a with block only, then restore the
-    overrides in force before it.  All are checked before any changes."""
+    """Apply caps (name -> integer) inside a with block only, then restore
+    the overrides in force before it.  All are checked and converted with
+    int() before any changes."""
     for name in caps:
         if name not in _DEFAULTS:
             raise ValueError("unknown cap %r" % name)
+    caps = {name: int(value) for name, value in caps.items()}
     saved = dict(_overrides)
     _overrides.update(caps)
     try:

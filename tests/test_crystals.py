@@ -210,12 +210,9 @@ def test_graph_restricted_ops():
 
 
 def test_vertex_cap():
-    limits.set_cap("vertex_cap", 5)
-    try:
+    with limits.overridden({"vertex_cap": 5}):
         with pytest.raises(LimitExceeded):
             generate_crystal_graph(TensorElement([(-3, -2)], 3))
-    finally:
-        limits.set_cap("vertex_cap", None)
 
 
 def test_replace_rebuilds_element():

@@ -170,22 +170,49 @@ def test_term_cap_trips_on_products():
     big = LaurentPolynomial.zero(1)
     for k in range(40):
         big = big + mono((k,))
-    limits.set_cap("term_cap", 50)
-    try:
+    with limits.overridden({"term_cap": 50}):
         with pytest.raises(LimitExceeded):
             big * big
-    finally:
-        limits.set_cap("term_cap", None)
     assert len(big * big) == 79
 
 
-def test_term_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HOWEKIT_TERM_CAP", "10")
+def test_term_cap_counts_pairs():
+    # p * p forms 5 x 5 = 25 pairs but has only 9 terms: the cap counts
+    # the pairs, so 24 refuses it although its result would fit
     p = sum((mono((k,)) for k in range(1, 6)), LaurentPolynomial.zero(1))
-    with pytest.raises(LimitExceeded):
-        p * p * p
-    monkeypatch.delenv("HOWEKIT_TERM_CAP")
-    assert len(p * p * p) == 13
+    with limits.overridden({"term_cap": 24}):
+        with pytest.raises(LimitExceeded,
+                           match="^polynomial product exceeds term cap 24$"):
+            p * p
+    with limits.overridden({"term_cap": 25}):
+        assert len(p * p) == 9
+
+
+def test_product_over_term_cap_forms_no_pair(monkeypatch):
+    from howekit import laurent
+    calls = []
+    monkeypatch.setattr(laurent, "add",
+                        lambda *a: calls.append(a) or operator.add(*a))
+    p = sum((mono((k,)) for k in range(1, 6)), LaurentPolynomial.zero(1))
+    with limits.overridden({"term_cap": 24}):
+        with pytest.raises(LimitExceeded):
+            p * p
+    assert calls == []
+    # the stub sees every pair of a product under the cap
+    assert len(p * p) == 9 and len(calls) == 25
+
+
+def test_overridden_converts_every_value_first():
+    p = sum((mono((k,)) for k in range(1, 3)), LaurentPolynomial.zero(1))
+    with limits.overridden({"term_cap": "3"}):
+        assert limits.get_cap("term_cap") == 3
+        with pytest.raises(LimitExceeded, match="term cap 3$"):
+            p * p
+    default = limits.get_cap("term_cap")
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        with limits.overridden({"term_cap": "3", "enum_cap": "many"}):
+            pass
+    assert limits.get_cap("term_cap") == default
 
 
 def test_elem_sym_values():
