@@ -12,7 +12,7 @@ e_{beta_1} ... e_{beta_m} of those blocks; applied to Delta_m * x^beta it
 produces the same determinant as the Jacobi-Trudi matrix.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import combinations, permutations, product
 from math import comb
 from operator import add, mul
@@ -72,63 +72,49 @@ def _elem_sym(k, family, n):
 
 
 def E_map(p, family, n):
-    """Linear extension of x^beta -> e_{beta_1}*...*e_{beta_m}."""
-    elem_product = _elem_products(family, n)
+    """Linear extension of x^beta -> e_{beta_1}*...*e_{beta_m}, each term
+    multiplied left to right from one(n)."""
     out = LaurentPolynomial.zero(n)
     for exp, coef in sorted(p.terms.items()):
-        out = out + elem_product(exp).scale(coef)
+        term = reduce(mul, (elem_sym(k, family, n) for k in exp),
+                      LaurentPolynomial.one(n))
+        out = out + term.scale(coef)
     return out
 
 
-def _products(factor, start, step, finish=None):
-    """A function from a tuple of keys k to the chain start, step(start,
-    factor(k_1)), ..., its last state passed through finish (if given).
+def _products(factor, family, n):
+    """A function from a tuple of keys k to the decomposition of
+    factor(k_1)*...*factor(k_r) into the characters of family at rank n,
+    without building the product: a chain holds {lam + rho: multiplicity}
+    from {rho: 1} and takes each factor by the Brauer-Klimyk rule.
 
-    Steps are taken left to right and kept for every prefix, keyed by its
-    parent's index and its last key; each factor is built once, and each
-    tuple finished once, so tuples sharing a prefix share their steps.
-    The tables live as long as the returned function: one sweep.  Two
-    kinds of chain use it, both from _chain:
-
-    - a polynomial chain starts from one(n) and multiplies, so it returns
-      the product factor(k_1)*...*factor(k_r) (char_product, E_map);
-    - a decomposition chain holds {lam + rho: multiplicity} from {rho: 1}
-      and takes each factor by the Brauer-Klimyk rule (_klimyk), then
-      finishes into a CharacterDecomposition; it builds no product
-      polynomial, and the sweeps read their multiplicities from it.
+    Steps are kept for every prefix, keyed by its parent's index and its
+    last key; each factor is built once, and each tuple finished once, so
+    tuples sharing a prefix share their steps.  The tables live as long
+    as the returned function: one sweep.  Every factor is a character, so
+    the product is W-invariant by construction and is not checked; the
+    finish keeps decompose's sign and partition checks and messages.
     """
+    r = weyl.rho((family, n))
     table = {}  # (parent index, last key) -> (index, state); () is 0
     factors = {}
     finished = {}
 
     def product(keys):
-        at, state = 0, start
+        at, state = 0, {r: 1}
         for k in keys:
             got = table.get((at, k))
             if got is None:
                 if k not in factors:
                     factors[k] = factor(k)
-                got = table[at, k] = len(table) + 1, step(state, factors[k])
+                got = table[at, k] = (len(table) + 1,
+                                      _klimyk_step(family, state, factors[k]))
             at, state = got
-        if finish is None:
-            return state
         if at not in finished:
-            finished[at] = finish(state)
+            finished[at] = _constituents(r, state)
         return finished[at]
 
     return product
-
-
-def _chain(family, n, decomposed):
-    """The (start, step, finish) of a polynomial chain in n variables, or
-    of a decomposition chain into the characters of family at rank n.
-    Every factor is a character, so a decomposition chain's product is
-    W-invariant by construction and is not checked; its finish keeps
-    decompose's sign and partition checks and messages."""
-    if not decomposed:
-        return LaurentPolynomial.one(n), mul, None
-    r = weyl.rho((family, n))
-    return {r: 1}, partial(_klimyk_step, family), partial(_constituents, r)
 
 
 def _klimyk(family, state, f):
@@ -161,11 +147,10 @@ def _klimyk_step(family, state, f):
     return _klimyk(family, state, f)
 
 
-def _elem_products(family, n, decomposed=False):
-    """_products over column heights c: e_{c_1}...e_{c_k}, or its
-    decomposition when decomposed."""
-    return _products(lambda k: elem_sym(k, family, n),
-                     *_chain(family, n, decomposed))
+def _elem_products(family, n):
+    """_products over column heights c: the decomposition of
+    e_{c_1}...e_{c_k} into the characters of family at rank n."""
+    return _products(lambda k: elem_sym(k, family, n), family, n)
 
 
 def delta_product(family, m):
@@ -486,13 +471,18 @@ def _h_det(s, top, n):
                  for i, d in enumerate(s, 1)])
 
 
-def _char_products(n, decomposed=False):
-    """_products over (symbol, component) keys: a C key gives the sp_2n
-    character of the component, an A key its folded Schur polynomial;
-    their product, or its sp_2n decomposition when decomposed."""
-    return _products(lambda key: weyl_character(key[1], "C", n)
-                     if key[0] == "C" else schur_folded(key[1], n),
-                     *_chain("C", n, decomposed))
+def _block_factor(n, key):
+    """The factor of a (symbol, component) key: the sp_2n character of the
+    component for C, its folded Schur polynomial for A."""
+    if key[0] == "C":
+        return weyl_character(key[1], "C", n)
+    return schur_folded(key[1], n)
+
+
+def _char_products(n):
+    """_products over (symbol, component) keys: the sp_2n decomposition of
+    the product of their block factors (_block_factor)."""
+    return _products(partial(_block_factor, n), "C", n)
 
 
 def char_product(mu, spec, n):
@@ -502,9 +492,12 @@ def char_product(mu, spec, n):
     factors are sp_2n characters, A factors are 2n-variable Schur
     polynomials folded at (x, 1/x).  Component j must fit in the
     n x (size_j) rectangle.  Every input is checked before any factor is
-    built.
+    built; the product is then taken left to right from one(n), each
+    factor built when it is reached.
     """
     spec.check_blocks(mu)
     for comp, size in zip(mu.components, spec.sizes):
         comp.check_fits(n, size)
-    return _char_products(n)(tuple(zip(spec.symbols, mu.components)))
+    return reduce(mul, (_block_factor(n, key)
+                        for key in zip(spec.symbols, mu.components)),
+                  LaurentPolynomial.one(n))

@@ -76,12 +76,6 @@ class TensorElement(Value):
     def heights(self):
         return tuple(len(c) for c in self.columns)
 
-    def replace(self, j, column):
-        """A copy with column j replaced, its entries validated."""
-        cols = list(self.columns)
-        cols[j] = column
-        return TensorElement(cols, self.n)
-
     def __repr__(self):
         return "TensorElement(%r, %d)" % (list(map(list, self.columns)), self.n)
 
@@ -344,10 +338,6 @@ class CrystalGraph(Value):
     def __len__(self):
         return len(self.vertices)
 
-    def weights(self):
-        """The weight multiset of the vertex set, as a sorted list."""
-        return sorted(weight_of(b) for b in self.vertices)
-
     def to_dot(self):
         lines = ["digraph crystal {", "  rankdir=TB;"]
         for k, b in enumerate(self.vertices):
@@ -366,8 +356,20 @@ class CrystalGraph(Value):
         }
 
 
+def _dimension(lam):
+    """dim V(lam) of sp_2n, n = len(lam): the product of (lam + rho, alpha)
+    / (rho, alpha) over the positive roots e_i -+ e_j (i < j) and 2 e_i."""
+    def pairings(v):
+        return prod(v) * prod((a - b) * (a + b) for a, b in combinations(v, 2))
+    rho = range(len(lam), 0, -1)
+    return pairings([a + b for a, b in zip(lam, rho)]) // pairings(rho)
+
+
 def generate_crystal_graph(seed, ops=None):
     """Close a seed vertex under the f_i, i in ops, by BFS.
+
+    Under every f_i a highest weight seed closes to B(weight_of(seed)),
+    whose dimension is checked against vertex_cap before the walk.
 
     >>> g = generate_crystal_graph(TensorElement([(-3, -2)], 3))
     >>> len(g)
@@ -377,6 +379,9 @@ def generate_crystal_graph(seed, ops=None):
         ops = range(seed.n)
     ops = sorted(set(int(i) for i in ops))
     cap = get_cap("vertex_cap")
+    if (ops == list(range(seed.n)) and is_highest_weight(seed)
+            and _dimension(weight_of(seed)) > cap):
+        raise LimitExceeded("crystal graph exceeds vertex cap %d" % cap)
     index = {seed: 0}
     vertices = [seed]
     edges = []

@@ -169,7 +169,7 @@ def _duality_sweep(family, n, m):
         compared.setdefault(group(lam), {})[lam] = _plus_rho(
             cols[lam] if family == "A" else hat(lam, n, m).padded(m),
             (family, m))
-    decomposition = _elem_products(family, n, decomposed=True)
+    decomposition = _elem_products(family, n)
     for mu in lams:
         same = compared[group(mu)]
         dec = decomposition(cols[mu])
@@ -225,7 +225,7 @@ def verify_generalized_duality(n, r_max, size_bound):
              for symbols in itertools.product("AC", repeat=r)
              for sizes in itertools.product(range(1, size_bound + 1),
                                             repeat=r)]
-    decomposition = _char_products(n, decomposed=True)
+    decomposition = _char_products(n)
     tables = {}
 
     def hats(k):

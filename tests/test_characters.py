@@ -499,9 +499,22 @@ def test_char_product_validates_components():
                      DiagramSpec("CC", (1, 1)), 2)
 
 
+def _naive_product(factors, n):
+    """one(n) * f_1 * ... * f_r, left to right."""
+    out = LaurentPolynomial.one(n)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _block_factors(key, n):
+    return [weyl_character(comp, "C", n) if sym == "C"
+            else schur_folded(comp, n) for sym, comp in key]
+
+
 def test_char_products_match_left_to_right_products():
-    # one table serves every spec of a rank; each product equals
-    # one(n) * f_1 * f_2 built from fresh factors
+    # one table serves every spec of a rank; each entry decomposes, and
+    # char_product equals, one(n) * f_1 * f_2 built from fresh factors
     for n in (1, 2):
         product = characters._char_products(n)
         for r in (1, 2):
@@ -511,13 +524,10 @@ def test_char_products_match_left_to_right_products():
                     pools = [list(enumerate_rectangle(n, k)) for k in sizes]
                     for comps in itertools.product(*pools):
                         mu = MultiPartition(comps, sizes)
-                        naive = LaurentPolynomial.one(n)
-                        for sym, comp in zip(symbols, comps):
-                            naive = naive * (
-                                weyl_character(comp, "C", n) if sym == "C"
-                                else schur_folded(comp, n))
                         keys = tuple(zip(symbols, comps))
-                        assert product(keys) == naive, (spec, mu)
+                        naive = _naive_product(_block_factors(keys, n), n)
+                        assert product(keys) == decompose(
+                            naive, "C", n), (spec, mu)
                         assert char_product(mu, spec, n) == naive
 
 
@@ -568,15 +578,13 @@ def test_elem_sym_checks_its_cap_whatever_the_cache_holds():
 
 
 def test_E_map_of_many_variables():
-    # 1,500 column heights: one table entry per prefix, no frame per height
+    # 1,500 column heights, multiplied in a loop with no frame per height
     p = LaurentPolynomial.monomial((1,) * 1500)
     assert E_map(p, "A", 1) == LaurentPolynomial.monomial((1500,))
 
 
 def test_E_map_table_keys_have_fixed_size():
-    # a prefix is keyed by its parent's index and its last height, so the
-    # table grows linearly in the number of heights (a key per prefix
-    # tuple peaked at 35.6 MB here)
+    # 3,000 heights multiplied left to right keep one running product
     p = LaurentPolynomial.monomial((1,) * 3000)
     tracemalloc.start()
     try:
@@ -598,24 +606,25 @@ def test_elem_products_match_left_to_right_products(family, bound):
         for m in range(1, bound + 1):
             product = _elem_products(family, n)
             for heights in _column_heights(n, m):
-                naive = LaurentPolynomial.one(n)
-                for k in heights:
-                    naive = naive * elem_sym(k, family, n)
-                assert product(heights) == naive
+                naive = _naive_product(
+                    [elem_sym(k, family, n) for k in heights], n)
+                assert E_map(LaurentPolynomial.monomial(heights),
+                             family, n) == naive
+                assert product(heights) == decompose(naive, family, n)
 
 
 def test_elem_products_multiply_once_per_prefix(monkeypatch):
-    # 70 height vectors of length 4: 280 products when each is built anew
+    # 70 height vectors of length 4: 280 steps when each is built anew
     heights = _column_heights(4, 4)
     product = _elem_products("A", 4)
     calls = []
-    mul = LaurentPolynomial.__mul__
+    step = characters._klimyk_step
 
-    def counting(self, other):
+    def counting(*args):
         calls.append(1)
-        return mul(self, other)
+        return step(*args)
 
-    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting)
+    monkeypatch.setattr(characters, "_klimyk_step", counting)
     for h in heights:
         product(h)
     prefixes = {h[:i] for h in heights for i in range(1, 5)}
@@ -630,20 +639,19 @@ def test_elem_products_multiply_once_per_prefix(monkeypatch):
 def test_decomposition_chain_matches_decompose_on_duality_keys(family):
     # every key of the type A and C duality sweeps with n, m <= 3
     for n in range(1, 4):
-        decomposition = _elem_products(family, n, decomposed=True)
-        product = _elem_products(family, n)
+        decomposition = _elem_products(family, n)
         for m in range(1, 4):
             for heights in _column_heights(n, m):
+                product = E_map(LaurentPolynomial.monomial(heights), family, n)
                 assert decomposition(heights) == decompose(
-                    product(heights), family, n), (n, heights)
+                    product, family, n), (n, heights)
 
 
 def test_decomposition_chain_matches_decompose_on_generalized_keys():
     # every key of verify_generalized_duality with n <= 2, r <= 2 and
     # block sizes <= 2
     for n in (1, 2):
-        decomposition = characters._char_products(n, decomposed=True)
-        product = characters._char_products(n)
+        decomposition = characters._char_products(n)
         for r in (1, 2):
             for symbols in itertools.product("AC", repeat=r):
                 for sizes in itertools.product((1, 2), repeat=r):
@@ -651,7 +659,8 @@ def test_decomposition_chain_matches_decompose_on_generalized_keys():
                             *(enumerate_rectangle(n, k) for k in sizes)):
                         key = tuple(zip(symbols, comps))
                         assert decomposition(key) == decompose(
-                            product(key), "C", n), key
+                            _naive_product(_block_factors(key, n), n),
+                            "C", n), key
 
 
 @pytest.mark.parametrize("family, factor", [
@@ -664,8 +673,7 @@ def test_decomposition_chain_rejects_non_characters_like_decompose(
         family, factor):
     with pytest.raises(NotACharacter) as want:
         decompose(factor, family, 2)
-    chain = characters._products(lambda key: factor,
-                                 *characters._chain(family, 2, True))
+    chain = characters._products(lambda key: factor, family, 2)
     with pytest.raises(NotACharacter) as got:
         chain(("f",))
     assert str(got.value) == str(want.value)
@@ -679,7 +687,7 @@ def test_decomposition_chain_rejects_non_characters_like_decompose(
 ], ids=["first-step", "second-step"])
 def test_decomposition_step_checks_term_cap_before_sorting(
         monkeypatch, cap, sorted_before, message):
-    decomposition = _elem_products("C", 2, decomposed=True)
+    decomposition = _elem_products("C", 2)
     sorted_ = []
     chamber = characters._to_chamber
     monkeypatch.setattr(characters, "_to_chamber",

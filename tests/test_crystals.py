@@ -215,11 +215,45 @@ def test_vertex_cap():
             generate_crystal_graph(TensorElement([(-3, -2)], 3))
 
 
-def test_replace_rebuilds_element():
-    b = TensorElement([(-2,), (1,)], 2)
-    c = b.replace(1, (-2, -1))
-    assert c == TensorElement([(-2,), (-2, -1)], 2)
-    assert b == TensorElement([(-2,), (1,)], 2)
+def test_dimension_formula_counts_highest_weight_components():
+    # every highest weight element of B_{mu'} with n <= 3 and m <= 2
+    checked = 0
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            for mu_p in itertools.product(range(2 * n + 1), repeat=m):
+                for b in enumerate_B(mu_p, n):
+                    if is_highest_weight(b):
+                        assert crystals._dimension(weight_of(b)) == len(
+                            generate_crystal_graph(b)), b
+                        checked += 1
+    assert checked == 254
+
+
+def test_vertex_cap_trips_before_the_walk(monkeypatch):
+    # a highest weight seed of dimension 4,045,184: no f_i is applied
+    seed = TensorElement([range(-6, 0), range(-6, 0), (-6, -5, -4)], 6)
+    calls = []
+    monkeypatch.setattr(crystals, "crystal_f",
+                        lambda *args: calls.append(args))
+    with pytest.raises(LimitExceeded,
+                       match="^crystal graph exceeds vertex cap 1000000$"):
+        generate_crystal_graph(seed)
+    assert calls == []
+
+
+def test_vertex_cap_walks_other_closures():
+    # [[1]] is not highest weight: its closure lists 2 of the 4 vertices
+    # of its component, and an ops subset closes a seed partway
+    b = TensorElement([(1,)], 2)
+    assert len(generate_crystal_graph(b)) == 2
+    with limits.overridden({"vertex_cap": 2}):
+        assert len(generate_crystal_graph(b)) == 2
+    seed = TensorElement([(-3, -2)], 3)
+    with limits.overridden({"vertex_cap": len(
+            generate_crystal_graph(seed, ops=(1,)))}):
+        generate_crystal_graph(seed, ops=(1,))
+        with pytest.raises(LimitExceeded):
+            generate_crystal_graph(seed)
 
 
 def _assert_validated(b):
