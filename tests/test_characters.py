@@ -1,7 +1,10 @@
 """Determinantal characters: alternants, straightening, decomposition."""
 
+import hashlib
 import itertools
+import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -295,6 +298,112 @@ def test_determinant_walks_many_rows():
         (sum(i % 3 for i in range(size)), -sum(i % 5 for i in range(size))))
 
 
+def _leibniz(matrix):
+    """sum over sigma of sgn(sigma) * prod_i M[i][sigma(i)], the products
+    taken left to right from one."""
+    size = len(matrix)
+    total = LaurentPolynomial.zero(matrix[0][0].nvars)
+    for sigma in itertools.permutations(range(size)):
+        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+        term = LaurentPolynomial.one(total.nvars)
+        for i, j in enumerate(sigma):
+            term = term * matrix[i][j]
+        total = total + term.scale(-1 if inversions % 2 else 1)
+    return total
+
+
+def _sparse_matrix(rng, size):
+    """A size x size matrix of small Laurent polynomials in 2 variables,
+    about a third of its entries zero."""
+    def entry():
+        if rng.random() < 0.35:
+            return LaurentPolynomial.zero(2)
+        return LaurentPolynomial(2, {(rng.randint(-1, 1), rng.randint(-1, 1)):
+                                     rng.choice((-2, -1, 1, 2))
+                                     for _ in range(rng.randint(1, 3))})
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+def test_determinant_matches_leibniz_formula():
+    rng = random.Random(29)
+    zero = LaurentPolynomial.zero(2)
+    for size in range(1, 6):
+        for trial in range(6):
+            matrix = _sparse_matrix(rng, size)
+            if size > 1 and trial == 1:
+                matrix[rng.randrange(size)] = [zero] * size
+            if size > 1 and trial == 2:
+                j = rng.randrange(size)
+                for row in matrix:
+                    row[j] = zero
+            if size > 2 and trial == 3:
+                # column 0 is reached by row 0 alone
+                for row in matrix[1:]:
+                    row[0] = zero
+            assert characters._det(matrix) == _leibniz(matrix), (size, trial)
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        characters._det([])
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = LaurentPolynomial.__mul__
+    monkeypatch.setattr(LaurentPolynomial, "__mul__",
+                        lambda a, b: calls.append(None) or real(a, b))
+    return calls
+
+
+def test_determinant_forms_one_product_per_reached_entry(monkeypatch):
+    # a full 6 x 6 matrix reaches every column subset: each subset of size
+    # k multiplies k entries by their minors, sum_k k C(6, k) = 6 * 2^5
+    full = [[LaurentPolynomial.monomial((i, j)) for j in range(6)]
+            for i in range(6)]
+    size = 2000
+    zero = LaurentPolynomial.zero(1)
+    x = LaurentPolynomial.monomial((1,))
+    diagonal = [[x if i == j else zero for j in range(size)]
+                for i in range(size)]
+    calls = _count_products(monkeypatch)
+    characters._det(full)
+    assert len(calls) == 192
+    del calls[:]
+    assert characters._det(diagonal) == LaurentPolynomial.monomial((size,))
+    assert len(calls) == size
+
+
+def _ac04_grid():
+    for fam in ("C", "A"):
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                for beta in itertools.product(range(-2, n + 3), repeat=m):
+                    yield beta, fam, n, m
+
+
+FOLDED_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2, 1)]
+
+# pinned before the expansion became two row passes: the polynomials,
+# and apart from them the dict order of their terms, which JSON output
+# sorts away but a change to how minors accumulate would show
+DETERMINANT_DIGESTS = (
+    "fb1726d6447d1bd1035e50395a40c38f00bfbffca37d3408d38a59d427b026cb",
+    "640f8946317c45071fe5225935ee656a1ce302218bcacf14178d5c7492f0ae04")
+
+
+def test_determinant_layer_digest():
+    # every AC04 determinant, then the folded Schur polynomials in the
+    # dual form (schur_folded) and the row form
+    polys = [jt_determinant(*args) for args in _ac04_grid()]
+    for n in (2, 3):
+        for s in FOLDED_SHAPES:
+            polys += [schur_folded(s, n),
+                      characters._h_det(s, s[0] + len(s) - 1, n)]
+    assert len(polys) == 2482 + 24
+    pins = ([p.to_json_obj() for p in polys],
+            [[list(e) for e in p.terms] for p in polys])
+    assert tuple(hashlib.sha256(json.dumps(pin).encode()).hexdigest()
+                 for pin in pins) == DETERMINANT_DIGESTS
+
+
 @pytest.mark.parametrize("delta, n, k, letters", [
     # the row form: h_1000 of the 6 folded letters at n = 3
     ((1000,), 3, 1000, 6),
@@ -323,7 +432,6 @@ def test_decompose_tensor_square_of_vector_module():
 
 
 def test_decompose_round_trip_random_sums():
-    import random
     rng = random.Random(3)
     lams = list(enumerate_rectangle(2, 3))
     for fam in ("A", "C"):
@@ -360,7 +468,6 @@ def test_decompose_rejects_non_characters():
 
 
 def test_decompose_matches_peeling_on_signed_sums():
-    import random
     rng = random.Random(8)
     seen = set()
     for fam in ("A", "C"):
