@@ -166,34 +166,29 @@ def delta_product(family, m):
 
 
 def _det(matrix):
-    """Determinant of a square matrix of polynomials, by minor expansion
-    memoized on (row, chosen column subset), one stack frame per row."""
+    """Determinant of a square matrix of polynomials by minor expansion in
+    two row passes: top-down, list the column subsets reached through
+    nonzero entries; bottom-up, sum their minors from the row below's."""
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
     nvars = matrix[0][0].nvars
-    one, zero = LaurentPolynomial.one(nvars), LaurentPolynomial.zero(nvars)
-    memo = {}
-    # frames: [row, chosen columns, next position, sum so far]; a frame
-    # waits at a position whose minor is not yet in the memo
-    stack = [[0, tuple(range(size)), 0, zero]]
-    while True:
-        row, cols, pos, total = frame = stack[-1]
-        for pos in range(pos, len(cols)):
-            entry = matrix[row][cols[pos]]
-            if not entry.is_zero():
-                rest = cols[:pos] + cols[pos + 1:]
-                sub = one if row + 1 == size else memo.get((row + 1, rest))
-                if sub is None:
-                    frame[2:] = pos, total
-                    stack.append([row + 1, rest, 0, zero])
-                    break
-                total = total + (entry * sub).scale(-1 if pos % 2 else 1)
-        else:
-            memo[(row, cols)] = total
-            stack.pop()
-            if not stack:
-                return total
+    levels = [{tuple(range(size))}]
+    for row in matrix[:-1]:
+        levels.append({cols[:pos] + cols[pos + 1:] for cols in levels[-1]
+                       for pos, c in enumerate(cols) if not row[c].is_zero()})
+    below = {(): LaurentPolynomial.one(nvars)}
+    for row in reversed(matrix):
+        minors = {}
+        for cols in levels.pop():
+            total = LaurentPolynomial.zero(nvars)
+            for pos, c in enumerate(cols):
+                if not row[c].is_zero():
+                    sub = below[cols[:pos] + cols[pos + 1:]]
+                    total = total + (row[c] * sub).scale(-1 if pos % 2 else 1)
+            minors[cols] = total
+        below = minors
+    return below[tuple(range(size))]
 
 
 def _jt_det(degrees, family, n):
@@ -425,9 +420,9 @@ def schur_folded(delta, n):
     When n is 1 or delta has one part, it is the row form
     det(h_{delta_i - i + j}) of size l(delta) (_h_det).  Otherwise it is
     the dual form det(e_{delta'_i - i + j}) of size delta_1, whose entries
-    have far fewer terms than the h_k; its expansion recurses once per
-    row, so h_k of the row form's largest index k = delta_1 + l(delta) - 1
-    is checked against enum_cap first, which bounds delta_1.
+    have far fewer terms than the h_k; its expansion keeps one level of
+    minors per row, so h_k of the row form's largest index k = delta_1 +
+    l(delta) - 1 is checked against enum_cap first, which bounds delta_1.
     """
     delta = Partition(delta)
     s = delta.stripped()

@@ -274,7 +274,7 @@ def test_schur_folded_row_form_matches_dual_form():
 
 def test_schur_folded_determinant_has_one_row_per_part(monkeypatch):
     # s_(400) at n = 1 is the 1 x 1 determinant (h_400), where the dual
-    # form would expand 400 rows, one frame each
+    # form would expand 400 rows
     sizes = []
     det = characters._det
     monkeypatch.setattr(characters, "_det",
@@ -286,8 +286,8 @@ def test_schur_folded_determinant_has_one_row_per_part(monkeypatch):
 
 
 def test_determinant_walks_many_rows():
-    # the expansion keeps its own stack, so 2,000 rows are no recursion
-    # depth: a diagonal matrix of monomials gives their product
+    # the expansion walks the rows in two loops, so 2,000 rows are no
+    # recursion depth: a diagonal matrix of monomials gives their product
     size = 2000
     zero = LaurentPolynomial.zero(2)
     diagonal = [LaurentPolynomial.monomial((i % 3, -(i % 5)))
