@@ -168,26 +168,27 @@ def jdt_bar(j, b):
     m = len(b.columns)
     if not 1 <= j <= m - 1:
         raise HowekitError("jdt index %d outside 1..%d" % (j, m - 1))
-    bc = bar_complement(b)
-    right = list(bc.columns[2 * j - 1])   # cbar_jbar, the source column
-    left = list(bc.columns[2 * j])        # cbar_{j+1}, the target column
+    # cbar_jbar, the source column, and cbar_{j+1}, the target column
+    right = [-x for x in range(b.n, 0, -1) if x not in b.columns[j - 1]]
+    left = [x for x in b.columns[j] if x < 0]
     l = _min_offset(left, right)
     if l == 0:
         return None
     # left sits at rows l+1.., right at rows 1..; the hole starts at row l
     # of the left column and sinks while the entry below it is <= its
-    # right neighbour, then takes that neighbour, and the right column
-    # closes up over the gap
+    # right neighbour, then takes that neighbour xbar: x leaves cbar_jbar,
+    # so column j gains the letter x, and column j+1 gains xbar
     k = l
     while (k - l < len(left) and k <= len(right)
            and left[k - l] <= right[k - 1]):
         k += 1
-    if k <= len(right):
-        left.insert(k - l, right.pop(k - 1))
-    cols = list(bc.columns)
-    cols[2 * j - 1] = tuple(right)
-    cols[2 * j] = tuple(left)
-    return from_bar_complement(BarComplement(cols, b.n))
+    if k > len(right):
+        return b
+    xbar = right[k - 1]
+    cols = list(b.columns)
+    cols[j - 1] = tuple(sorted(cols[j - 1] + (-xbar,)))
+    cols[j] = tuple(sorted(cols[j] + (xbar,)))
+    return TensorElement(cols, b.n)
 
 
 def _string(op, x):

@@ -22,8 +22,9 @@ import json
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
-from operator import gt
+from operator import add, gt, mul
 
+from . import weyl
 from ._value import Value
 from .errors import HowekitError, LimitExceeded
 from .limits import get_cap
@@ -226,16 +227,17 @@ def is_coadmissible(c, n):
 
 def _checked_heights(mu_prime, n):
     """The column heights of B_{mu'}, each in 0..2n, under enum_cap."""
+    if n < 1:
+        raise HowekitError("rank must be positive")
     heights = tuple(int(h) for h in mu_prime)
     for h in heights:
         if not 0 <= h <= 2 * n:
             raise HowekitError("column height %d outside 0..%d" % (h, 2 * n))
     total = prod(comb(2 * n, h) for h in heights)
-    if total > get_cap("enum_cap"):
+    cap = get_cap("enum_cap")
+    if total > cap:
         raise LimitExceeded("B_{mu'} has %d elements, cap is %d"
-                            % (total, get_cap("enum_cap")))
-    if n < 1:
-        raise HowekitError("rank must be positive")
+                            % (total, cap))
     return heights
 
 
@@ -358,11 +360,12 @@ class CrystalGraph(Value):
 
 def _dimension(lam):
     """dim V(lam) of sp_2n, n = len(lam): the product of (lam + rho, alpha)
-    / (rho, alpha) over the positive roots e_i -+ e_j (i < j) and 2 e_i."""
+    / (rho, alpha) over the positive roots alpha."""
     def pairings(v):
-        return prod(v) * prod((a - b) * (a + b) for a, b in combinations(v, 2))
-    rho = range(len(lam), 0, -1)
-    return pairings([a + b for a, b in zip(lam, rho)]) // pairings(rho)
+        return prod(sum(map(mul, v, a))
+                    for a in weyl.positive_roots(("C", len(v))))
+    rho = weyl.rho(("C", len(lam)))
+    return pairings(tuple(map(add, lam, rho))) // pairings(rho)
 
 
 def generate_crystal_graph(seed, ops=None):

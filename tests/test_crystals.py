@@ -288,8 +288,13 @@ def test_operator_images_equal_validated_ones():
 
 
 def test_highest_weight_elements_keep_the_rank_check():
-    with pytest.raises(HowekitError, match="^rank must be positive$"):
-        highest_weight_vertices((), (), 0)
+    # the rank is checked before any column height
+    for call in [lambda: highest_weight_vertices((), (), 0),
+                 lambda: highest_weight_vertices((1,), (), 0),
+                 lambda: list(enumerate_B((1,), 0)),
+                 lambda: list(enumerate_B((0,), -1))]:
+        with pytest.raises(HowekitError, match="^rank must be positive$"):
+            call()
 
 
 def test_highest_weight_vertices_read_weights_off_the_walk(monkeypatch):
