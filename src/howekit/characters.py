@@ -173,22 +173,22 @@ def _det(matrix):
     if size == 0:
         raise ValueError("empty matrix")
     nvars = matrix[0][0].nvars
+    one, zero = LaurentPolynomial.one(nvars), LaurentPolynomial.zero(nvars)
     levels = [{tuple(range(size))}]
     for row in matrix[:-1]:
         levels.append({cols[:pos] + cols[pos + 1:] for cols in levels[-1]
                        for pos, c in enumerate(cols) if not row[c].is_zero()})
-    below = {(): LaurentPolynomial.one(nvars)}
+    minors = {(): one}
     for row in reversed(matrix):
-        minors = {}
+        below, minors = minors, {}
         for cols in levels.pop():
-            total = LaurentPolynomial.zero(nvars)
+            total = zero
             for pos, c in enumerate(cols):
                 if not row[c].is_zero():
                     sub = below[cols[:pos] + cols[pos + 1:]]
                     total = total + (row[c] * sub).scale(-1 if pos % 2 else 1)
             minors[cols] = total
-        below = minors
-    return below[tuple(range(size))]
+    return minors[tuple(range(size))]
 
 
 def _jt_det(degrees, family, n):

@@ -345,14 +345,6 @@ def test_determinant_matches_leibniz_formula():
         characters._det([])
 
 
-def _count_products(monkeypatch):
-    calls = []
-    real = LaurentPolynomial.__mul__
-    monkeypatch.setattr(LaurentPolynomial, "__mul__",
-                        lambda a, b: calls.append(None) or real(a, b))
-    return calls
-
-
 def test_determinant_forms_one_product_per_reached_entry(monkeypatch):
     # a full 6 x 6 matrix reaches every column subset: each subset of size
     # k multiplies k entries by their minors, sum_k k C(6, k) = 6 * 2^5
@@ -363,7 +355,10 @@ def test_determinant_forms_one_product_per_reached_entry(monkeypatch):
     x = LaurentPolynomial.monomial((1,))
     diagonal = [[x if i == j else zero for j in range(size)]
                 for i in range(size)]
-    calls = _count_products(monkeypatch)
+    calls = []
+    real = LaurentPolynomial.__mul__
+    monkeypatch.setattr(LaurentPolynomial, "__mul__",
+                        lambda a, b: calls.append(None) or real(a, b))
     characters._det(full)
     assert len(calls) == 192
     del calls[:]
