@@ -285,17 +285,31 @@ def test_schur_folded_determinant_has_one_row_per_part(monkeypatch):
     assert got == LaurentPolynomial(1, {(k,): 1 for k in range(-400, 401, 2)})
 
 
-def test_determinant_walks_many_rows():
+def _count_products(monkeypatch):
+    calls = []
+    real = LaurentPolynomial.__mul__
+    monkeypatch.setattr(LaurentPolynomial, "__mul__",
+                        lambda a, b: calls.append(None) or real(a, b))
+    return calls
+
+
+def test_determinant_walks_many_rows(monkeypatch):
     # the expansion walks the rows in two loops, so 2,000 rows are no
-    # recursion depth: a diagonal matrix of monomials gives their product
-    size = 2000
+    # recursion depth: a diagonal matrix of monomials gives their product,
+    # one product per row.  6 rows go first: an expansion through zeros
+    # shows there as extra products, at 2,000 rows as 2^2000 subsets
+    calls = _count_products(monkeypatch)
     zero = LaurentPolynomial.zero(2)
-    diagonal = [LaurentPolynomial.monomial((i % 3, -(i % 5)))
-                for i in range(size)]
-    got = characters._det([[diagonal[i] if i == j else zero
-                            for j in range(size)] for i in range(size)])
-    assert got == LaurentPolynomial.monomial(
-        (sum(i % 3 for i in range(size)), -sum(i % 5 for i in range(size))))
+    for size in (6, 2000):
+        diagonal = [LaurentPolynomial.monomial((i % 3, -(i % 5)))
+                    for i in range(size)]
+        del calls[:]
+        got = characters._det([[diagonal[i] if i == j else zero
+                                for j in range(size)] for i in range(size)])
+        assert len(calls) == size
+        assert got == LaurentPolynomial.monomial(
+            (sum(i % 3 for i in range(size)),
+             -sum(i % 5 for i in range(size))))
 
 
 def _leibniz(matrix):
@@ -348,22 +362,10 @@ def test_determinant_matches_leibniz_formula():
 def test_determinant_forms_one_product_per_reached_entry(monkeypatch):
     # a full 6 x 6 matrix reaches every column subset: each subset of size
     # k multiplies k entries by their minors, sum_k k C(6, k) = 6 * 2^5
-    full = [[LaurentPolynomial.monomial((i, j)) for j in range(6)]
-            for i in range(6)]
-    size = 2000
-    zero = LaurentPolynomial.zero(1)
-    x = LaurentPolynomial.monomial((1,))
-    diagonal = [[x if i == j else zero for j in range(size)]
-                for i in range(size)]
-    calls = []
-    real = LaurentPolynomial.__mul__
-    monkeypatch.setattr(LaurentPolynomial, "__mul__",
-                        lambda a, b: calls.append(None) or real(a, b))
-    characters._det(full)
+    calls = _count_products(monkeypatch)
+    characters._det([[LaurentPolynomial.monomial((i, j)) for j in range(6)]
+                     for i in range(6)])
     assert len(calls) == 192
-    del calls[:]
-    assert characters._det(diagonal) == LaurentPolynomial.monomial((size,))
-    assert len(calls) == size
 
 
 def _ac04_grid():
