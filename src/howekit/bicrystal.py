@@ -157,6 +157,13 @@ def _min_offset(left, right):
     return l
 
 
+def _skew_pair(j, b):
+    """cbar_{j+1} and cbar_jbar of b, read straight off columns j+1 and j."""
+    left = [x for x in b.columns[j] if x < 0]
+    right = [-x for x in range(b.n, 0, -1) if x not in b.columns[j - 1]]
+    return left, right
+
+
 def jdt_bar(j, b):
     """One jeu de taquin slide on the bar complement, between columns
     jbar and j+1, or None when the pair is already straight.
@@ -168,22 +175,21 @@ def jdt_bar(j, b):
     m = len(b.columns)
     if not 1 <= j <= m - 1:
         raise HowekitError("jdt index %d outside 1..%d" % (j, m - 1))
-    # cbar_jbar, the source column, and cbar_{j+1}, the target column
-    right = [-x for x in range(b.n, 0, -1) if x not in b.columns[j - 1]]
-    left = [x for x in b.columns[j] if x < 0]
+    # cbar_{j+1}, the target column, and cbar_jbar, the source column
+    left, right = _skew_pair(j, b)
     l = _min_offset(left, right)
     if l == 0:
         return None
     # left sits at rows l+1.., right at rows 1..; the hole starts at row l
     # of the left column and sinks while the entry below it is <= its
     # right neighbour, then takes that neighbour xbar: x leaves cbar_jbar,
-    # so column j gains the letter x, and column j+1 gains xbar
+    # so column j gains the letter x, and column j+1 gains xbar.  The hole
+    # stops by row len(right): sinking past it would mean below <= right in
+    # every row l..len(right) and the left column reaching that row, so
+    # offset l - 1 would already form a skew tableau, against minimal l
     k = l
-    while (k - l < len(left) and k <= len(right)
-           and left[k - l] <= right[k - 1]):
+    while k - l < len(left) and left[k - l] <= right[k - 1]:
         k += 1
-    if k > len(right):
-        return b
     xbar = right[k - 1]
     cols = list(b.columns)
     cols[j - 1] = tuple(sorted(cols[j - 1] + (-xbar,)))
@@ -228,10 +234,13 @@ def delta_count(j, b):
     if len(col) != n:
         raise HowekitError("column %d has height %d, expected %d"
                            % (j, len(col), n))
-    cur = _string(partial(kappa, 1), TensorElement([col], n))[0]
-    if not is_admissible(cur.columns[0], n):
+    # star is a bijection, so the string of king_e(1, .) on the star is
+    # the string of kappa(1, .), carried across once each way
+    low = _string(partial(king_e, 1), star(TensorElement([col], n)))[0]
+    [cur] = star_inverse(low, n, 1).columns
+    if not is_admissible(cur, n):
         raise HowekitError("contraction did not reach an admissible column")
-    return n - len(cur.columns[0])
+    return n - len(cur)
 
 
 def dilate_fully(b):
@@ -249,8 +258,7 @@ def gamma_count(j, b_dil):
     m = len(b_dil.columns)
     if not 1 <= j <= m - 1:
         raise HowekitError("index %d outside 1..%d" % (j, m - 1))
-    bc = bar_complement(b_dil)
-    return _min_offset(list(bc.columns[2 * j]), list(bc.columns[2 * j - 1]))
+    return _min_offset(*_skew_pair(j, b_dil))
 
 
 def _charge_sum(m, unbarred, barred):

@@ -18,7 +18,6 @@ needs the column reading order and the map f on letters, so the dual
 crystal of the bicrystal module runs on the same routine.
 """
 
-import json
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
@@ -108,15 +107,16 @@ def _bracket(columns, order, f_map):
 
 
 def _apply_at(b, j, old, new):
-    # b is a TensorElement or a KingElement, both (columns of ints, rank);
-    # the operators map letters into the alphabet, so the image is valid
+    # b is a TensorElement or a KingElement, both (columns of ints, rank).
+    # Every operator moves a letter to its neighbour in the alphabet, and a
+    # column holding both neighbours reads them one after the other, plus
+    # then minus, so the pair is bracketed and never the one acted on: new
+    # is not in the column and takes old's place in the strict order
     columns, rank = b._fields(b)
     col = columns[j]
-    entries = sorted(set(col) - {old} | {new})
-    if len(entries) != len(col):
-        raise HowekitError("operator collision in column %r" % (col,))
-    return type(b)._trusted(columns[:j] + (tuple(entries),) + columns[j + 1:],
-                            rank)
+    k = col.index(old)
+    return type(b)._trusted(
+        columns[:j] + (col[:k] + (new,) + col[k + 1:],) + columns[j + 1:], rank)
 
 
 def _lower(b, order, f_map):
@@ -342,9 +342,10 @@ class CrystalGraph(Value):
 
     def to_dot(self):
         lines = ["digraph crystal {", "  rankdir=TB;"]
+        # a label is a list of int lists: no quote to escape
         for k, b in enumerate(self.vertices):
-            label = json.dumps(b.to_json_obj(), separators=(",", ":"))
-            lines.append('  v%d [label="%s"];' % (k, label.replace('"', '\\"')))
+            label = repr(b.to_json_obj()).replace(" ", "")
+            lines.append('  v%d [label="%s"];' % (k, label))
         for src, i, dst in self.edges:
             lines.append('  v%d -> v%d [label="%d"];' % (src, dst, i))
         lines.append("}")

@@ -91,8 +91,7 @@ class LaurentPolynomial(Value):
         return LaurentPolynomial._trusted(self.nvars, out)
 
     def __neg__(self):
-        return LaurentPolynomial._trusted(
-            self.nvars, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -221,12 +220,9 @@ class LaurentPolynomial(Value):
 
     @staticmethod
     def from_json_obj(obj, nvars=None):
-        terms = {}
-        for item in obj:
-            exp = tuple(int(x) for x in item["exp"])
-            if nvars is None:
-                nvars = len(exp)
-            terms[exp] = terms.get(exp, 0) + int(item["coef"])
+        pairs = [(item["exp"], item["coef"]) for item in obj]
         if nvars is None:
-            raise ValueError("cannot infer arity of an empty polynomial")
-        return LaurentPolynomial(nvars, terms)
+            if not pairs:
+                raise ValueError("cannot infer arity of an empty polynomial")
+            nvars = len(pairs[0][0])
+        return LaurentPolynomial(nvars, pairs)

@@ -10,7 +10,7 @@ from howekit import (D_statistic, HowekitError, KingElement, Partition,
                      from_bar_complement, gamma_count, highest_weight_vertices,
                      is_highest_weight, jdt_bar, kappa, king_e, king_f, star,
                      statistics, to_lowest, weight_of)
-from howekit.bicrystal import epsilon_string
+from howekit.bicrystal import _min_offset, epsilon_string
 
 
 def T(cols, n):
@@ -120,6 +120,18 @@ def test_jdt_matches_dual_operator_small():
     n, m = 2, 2
     for b in enumerate_B((2, 1), n):
         assert jdt_bar(1, b) == kappa(-1, b), b
+
+
+def test_gamma_count_reads_the_bar_complement_everywhere_small():
+    # gamma_j is the minimal offset of cbar_{j+1} against cbar_jbar, the
+    # columns 2j and 2j - 1 (from zero) of the public bar complement
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        for heights in itertools.product(range(2 * n + 1), repeat=m):
+            for b in enumerate_B(heights, n):
+                bc = bar_complement(b).columns
+                for j in range(1, m):
+                    assert gamma_count(j, b) == _min_offset(
+                        bc[2 * j], bc[2 * j - 1]), (j, b)
 
 
 def test_barred_contraction_skips_index_zero():

@@ -149,6 +149,27 @@ def test_kappa_and_jdt_null(capsys):
     assert json.loads(out) == [[-3, 1, 2, 5], [-5, -2, -1, 2, 4, 5]]
 
 
+TWO_COLUMNS = ["--element", "-2,-1;1,2", "--n", "2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["crystal-graph", "--seed", "-2", "--n", "2", "--ops", "5"],
+     "operator index 5 outside 0..1"),
+    (["kappa", *TWO_COLUMNS, "--j", "0"], "operator index must be nonzero"),
+    (["kappa", *TWO_COLUMNS, "--j", "3"], "unbarred index 3 outside 1..2"),
+    (["kappa", *TWO_COLUMNS, "--j", "-2"], "barred index 2 outside 1..1"),
+    (["jdt", *TWO_COLUMNS, "--j", "5"], "jdt index 5 outside 1..1"),
+    (["branch", "--kappa", "1", "--symbols", "AB", "--sizes", "1,1",
+      "--nu", "1;1"], "symbols must be A or C: ('A', 'B')"),
+    (["branch", "--kappa", "1", "--symbols", "AC", "--sizes", "1",
+      "--nu", "1"], "one size per symbol required"),
+    (["branch", "--kappa", "1", "--symbols", "A", "--sizes", "0",
+      "--nu", "1"], "sizes must be positive: (0,)"),
+])
+def test_bad_operator_and_spec_input_exits_two(capsys, args, message):
+    assert run(capsys, args) == (2, "", "error: %s\n" % message)
+
+
 def test_charge_both_modes(capsys):
     rc, out, _ = run(capsys, ["charge", "--element", "-2,-1;-2,-1",
                               "--n", "2"])

@@ -150,6 +150,14 @@ def test_json_round_trip_and_ordering():
     assert LaurentPolynomial.from_json_obj(obj) == p
     assert LaurentPolynomial.from_json_obj([], nvars=2) == \
         LaurentPolynomial.zero(2)
+    # repeated exponents merge, cancelling ones vanish, arity is checked
+    assert LaurentPolynomial.from_json_obj(
+        [{"exp": [1], "coef": 2}, {"exp": [0], "coef": 1},
+         {"exp": [1], "coef": "-2"}]) == mono((0,))
+    with pytest.raises(ValueError, match="cannot infer arity"):
+        LaurentPolynomial.from_json_obj([])
+    with pytest.raises(ValueError, match="wrong arity"):
+        LaurentPolynomial.from_json_obj(obj, nvars=3)
 
 
 def test_delta_factors_pinned():
