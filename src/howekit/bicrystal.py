@@ -130,9 +130,9 @@ def bar_complement(b):
     [[-3], [-4, -3, -2], [-5, -1], [-3, -1]]
     """
     n = b.n
-    return BarComplement([col for c in b.columns for col in (
+    return BarComplement._trusted(tuple([col for c in b.columns for col in (
         tuple(x for x in c if x < 0),
-        tuple(-x for x in range(n, 0, -1) if x not in c))], n)
+        tuple(-x for x in range(n, 0, -1) if x not in c))]), n)
 
 
 def from_bar_complement(bc):

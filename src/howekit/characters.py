@@ -19,7 +19,7 @@ from operator import add, mul
 
 from . import limits, weyl
 from ._value import Value
-from .errors import LimitExceeded, NotACharacter
+from .errors import NotACharacter
 from .laurent import LaurentPolynomial
 from .partitions import Partition, check_weight, conjugate, reduce_column_full
 
@@ -27,11 +27,8 @@ from .partitions import Partition, check_weight, conjugate, reduce_column_full
 def _check_subsets(k, letters):
     """Raise LimitExceeded when e_k has more subsets of the letters than
     enum_cap allows."""
-    subsets = comb(letters, k) if k >= 0 else 0
-    cap = limits.get_cap("enum_cap")
-    if subsets > cap:
-        raise LimitExceeded("e_%d of %d letters has %d subsets, above "
-                            "enum_cap %d" % (k, letters, subsets, cap))
+    limits.check("enum_cap", comb(letters, k) if k >= 0 else 0,
+                 "e_%d of %d letters has %%d subsets" % (k, letters))
 
 
 def elem_sym(k, family, n):
@@ -140,10 +137,8 @@ def _klimyk_step(family, state, f):
     """_klimyk as a step of a decomposition chain: its closed-form count
     of pairs, len(state) * len(f), is checked against term_cap before any
     pair is sorted."""
-    cap = limits.get_cap("term_cap")
-    if len(state) * len(f) > cap:
-        raise LimitExceeded("character step of %d constituents by %d terms "
-                            "exceeds term cap %d" % (len(state), len(f), cap))
+    limits.check("term_cap", len(state) * len(f),
+                 "character step forms %d (constituent, term) pairs")
     return _klimyk(family, state, f)
 
 
@@ -405,11 +400,8 @@ def _constituents(r, strict):
 def _check_monomials(k, letters):
     """Raise LimitExceeded when h_k, the sum of every monomial of degree k
     in the letters, has more of them than enum_cap allows."""
-    monomials = comb(k + letters - 1, letters - 1)
-    cap = limits.get_cap("enum_cap")
-    if monomials > cap:
-        raise LimitExceeded("h_%d of %d letters has %d monomials, above "
-                            "enum_cap %d" % (k, letters, monomials, cap))
+    limits.check("enum_cap", comb(k + letters - 1, letters - 1),
+                 "h_%d of %d letters has %%d monomials" % (k, letters))
 
 
 def schur_folded(delta, n):

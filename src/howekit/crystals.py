@@ -23,10 +23,9 @@ from itertools import combinations, product
 from math import comb, prod
 from operator import add, gt, mul
 
-from . import weyl
+from . import limits, weyl
 from ._value import Value
-from .errors import HowekitError, LimitExceeded
-from .limits import get_cap
+from .errors import HowekitError
 from .partitions import Partition
 
 
@@ -233,11 +232,8 @@ def _checked_heights(mu_prime, n):
     for h in heights:
         if not 0 <= h <= 2 * n:
             raise HowekitError("column height %d outside 0..%d" % (h, 2 * n))
-    total = prod(comb(2 * n, h) for h in heights)
-    cap = get_cap("enum_cap")
-    if total > cap:
-        raise LimitExceeded("B_{mu'} has %d elements, cap is %d"
-                            % (total, cap))
+    limits.check("enum_cap", prod(comb(2 * n, h) for h in heights),
+                 "B_{mu'} has %d elements")
     return heights
 
 
@@ -256,12 +252,12 @@ def enumerate_B(mu_prime, n):
 def _highest_weight_walk(choices, n):
     """(mu', [(b, weight_of(b)) for the highest weight b of B_{mu'}]) for
     each mu' in product(*choices) order, each list in enumerate_B's order;
-    a B_{mu'} over enum_cap raises as there.  Columns fill letter by letter,
-    skipping a letter that takes the word's weight out of the dominant
-    chamber, which no extension undoes; each highest weight prefix is
-    filled once for all the mu' it starts.
+    a prefix whose column sizes multiply past enum_cap raises, naming that
+    lower bound.  Columns fill letter by letter, skipping a letter that
+    takes the word's weight out of the dominant chamber, which no
+    extension undoes; each highest weight prefix is filled once for all
+    the mu' it starts.
     """
-    cap = get_cap("enum_cap")
     # a[i] = #(-i) - #(i) between the sentinels a[0] = 0 (so a_1 >= 0) and
     # a[n + 1], which no count reaches; the weight is a[n:0:-1].  Letter x
     # adds d to a_i, i = |x|, and keeps a dominant iff a[j] < a[j + 1]
@@ -272,10 +268,7 @@ def _highest_weight_walk(choices, n):
     stack = [((), [((), a)], 1)]  # (heights, parent's prefixes, |B|)
     while stack:
         mu, prefixes, size = stack.pop()
-        if size > cap:
-            size *= prod(comb(2 * n, c[0]) for c in choices[len(mu):])
-            raise LimitExceeded("B_{mu'} has %d elements, cap is %d"
-                                % (size, cap))
+        limits.check("enum_cap", size, "B_{mu'} has at least %d elements")
         if mu:
             h = mu[-1]
             # (cols, open column, its next alphabet index, a), one letter
@@ -382,10 +375,9 @@ def generate_crystal_graph(seed, ops=None):
     if ops is None:
         ops = range(seed.n)
     ops = sorted(set(int(i) for i in ops))
-    cap = get_cap("vertex_cap")
-    if (ops == list(range(seed.n)) and is_highest_weight(seed)
-            and _dimension(weight_of(seed)) > cap):
-        raise LimitExceeded("crystal graph exceeds vertex cap %d" % cap)
+    if ops == list(range(seed.n)) and is_highest_weight(seed):
+        limits.check("vertex_cap", _dimension(weight_of(seed)),
+                     "crystal graph has %d vertices")
     index = {seed: 0}
     vertices = [seed]
     edges = []
@@ -396,8 +388,8 @@ def generate_crystal_graph(seed, ops=None):
             if c is None:
                 continue
             if c not in index:
-                if len(vertices) >= cap:
-                    raise LimitExceeded("crystal graph exceeds vertex cap %d" % cap)
+                limits.check("vertex_cap", len(vertices) + 1,
+                             "crystal graph has at least %d vertices")
                 index[c] = len(vertices)
                 vertices.append(c)
             edges.append((src, i, index[c]))

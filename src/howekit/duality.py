@@ -24,10 +24,10 @@ from itertools import combinations
 from math import comb, prod
 from operator import le
 
+from . import limits
 from ._value import Value
 from .crystals import TensorElement, highest_weight_vertices
-from .errors import HowekitError, LimitExceeded, MalformedTableau
-from .limits import get_cap
+from .errors import HowekitError, MalformedTableau
 from .partitions import Partition, conjugate, hat
 
 
@@ -183,7 +183,8 @@ def star(b):
 
 def star_inverse(t, n=None, m=None):
     """Recover b from b*: barred part of c_j is the complement of
-    ctilde_j, unbarred part is ctilde_jbar."""
+    ctilde_j, unbarred part is ctilde_jbar.  An m below t.m must still
+    hold every letter of t."""
     if n is None:
         n = len(t.columns)
     if m is None:
@@ -192,6 +193,9 @@ def star_inverse(t, n=None, m=None):
         raise HowekitError("expected %d columns, got %d" % (n, len(t.columns)))
     if n < 1:
         raise HowekitError("rank must be positive")
+    if t.m > m:
+        for col in t.columns:
+            check_king_column(col, m)
     return TensorElement._trusted(_star_inverse_cols(t.columns, n, m), n)
 
 
@@ -277,9 +281,8 @@ def king_tableaux_by_weight(shape, m, n=None):
         raise HowekitError("shape %r is wider than %d columns" % (shape, n))
     if m < 1:
         raise HowekitError("alphabet rank must be positive")
-    guard = prod(comb(2 * m, h) for h in heights)
-    if guard > get_cap("enum_cap"):
-        raise LimitExceeded("King enumeration size %d exceeds cap" % guard)
+    limits.check("enum_cap", prod(comb(2 * m, h) for h in heights),
+                 "King enumeration size %d")
 
     columns_by_height = {h: [c for c in combinations(range(1, 2 * m + 1), h)
                              if all(c[r] >= 2 * r + 1 for r in range(h))]

@@ -6,7 +6,8 @@ class HowekitError(Exception):
 
 
 class LimitExceeded(HowekitError):
-    """A configurable size cap (term cap, vertex cap, rank cap) was hit."""
+    """A size cap was hit: term_cap, vertex_cap or enum_cap, through
+    limits.check, or the fixed rank cap of weyl.check_rank."""
 
 
 class NotACharacter(HowekitError):

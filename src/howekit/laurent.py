@@ -10,7 +10,7 @@ from operator import add
 
 from . import limits
 from ._value import Value
-from .errors import HowekitError, LimitExceeded
+from .errors import HowekitError
 
 
 class LaurentPolynomial(Value):
@@ -111,10 +111,9 @@ class LaurentPolynomial(Value):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check_arity(other)
-        cap = limits.get_cap("term_cap")
         a, b = self.terms, other.terms
-        if len(a) * len(b) > cap:
-            raise LimitExceeded("polynomial product exceeds term cap %d" % cap)
+        limits.check("term_cap", len(a) * len(b),
+                     "polynomial product forms %d term pairs")
         if len(a) > len(b):
             a, b = b, a
         out = {}

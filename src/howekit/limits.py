@@ -2,14 +2,17 @@
 
 All caps are process-wide.  They change only through overridden, for one
 with block, which is also how a key=value config file passed as --config
-applies its caps to one cli command.  The term cap counts the (term,
-term) pairs one polynomial product, or one step of a sweep's
-decomposition chain, may form, and is checked before any pair is
-formed.  decompose() has no cap, being one pass over its input's terms,
-and neither has exact division, whose quotient's box bounds its loop.
+applies its caps to one cli command.  Every guard in the package calls
+check before the work it bounds.  The term cap counts the (term, term)
+pairs one polynomial product, or one step of a sweep's decomposition
+chain, may form.  decompose() has no cap, being one pass over its input's
+terms, and neither has exact division, whose quotient's box bounds its
+loop.
 """
 
 from contextlib import contextmanager
+
+from .errors import LimitExceeded
 
 _DEFAULTS = {
     # maximum number of (term, term) pairs one polynomial product, or
@@ -33,6 +36,17 @@ def get_cap(name):
     if name not in _DEFAULTS:
         raise KeyError("unknown cap %r" % name)
     return _overrides.get(name, _DEFAULTS[name])
+
+
+def check(name, count, what):
+    """count, when it is at most the cap called name; otherwise raise
+    LimitExceeded("<what % count>, above <name> <cap>"), such as "B_{mu'}
+    has 300 elements, above enum_cap 299".  A guard that stops at the first
+    lower bound over the cap says so in what: "has at least %d"."""
+    cap = get_cap(name)
+    if count > cap:
+        raise LimitExceeded("%s, above %s %d" % (what % count, name, cap))
+    return count
 
 
 @contextmanager

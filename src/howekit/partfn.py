@@ -15,7 +15,7 @@ from math import comb
 from operator import add, sub
 
 from ._value import Value
-from .errors import HowekitError, LimitExceeded
+from .errors import HowekitError
 from .partitions import Partition, MultiPartition, check_weight, involution_I
 from . import limits, weyl
 
@@ -171,11 +171,8 @@ def kostant_partition(roots, beta):
     if level and beta[0] > 0:
         u = sum(map(any, level[0]))
         shifts = sum(comb(u, k) * comb(beta[0], k) << k for k in range(u + 1))
-        cap = limits.get_cap("enum_cap")
-        if shifts > cap:
-            raise LimitExceeded("kostant count of %r may shift its first "
-                                "coordinate %d ways, above enum_cap %d"
-                                % (beta, shifts, cap))
+        limits.check("enum_cap", shifts, "kostant count of %r may shift its "
+                     "first coordinate %%d ways" % (beta,))
     return counter.count(beta)
 
 

@@ -29,7 +29,7 @@ from .characters import (_char_products, _check_subsets, _elem_products,
                          char_product, decompose)
 from .crystals import _highest_weight_walk, crystal_e, enumerate_B
 from .duality import _pair_cell, king_tableaux_by_weight
-from .errors import HowekitError, LimitExceeded
+from .errors import HowekitError
 from .partfn import (DiagramSpec, _counter_for, _kostant_sum, _plus_rho,
                      branching_coefficient)
 from .partitions import (MultiPartition, Partition, conjugate,
@@ -59,12 +59,10 @@ def _checked_count(counts, what):
     after checking it against enum_cap.  counts yields nondecreasing lower
     bounds of that number, the last being the number itself; it is read
     only until a bound passes the cap, so no huge number is ever built."""
-    cap = limits.get_cap("enum_cap")
+    message = "sweep would list at least %%d %s" % what
     count = 0
     for count in counts:
-        if count > cap:
-            raise LimitExceeded("sweep would list more than enum_cap %d %s"
-                                % (cap, what))
+        limits.check("enum_cap", count, message)
     return count
 
 
@@ -406,10 +404,8 @@ def injectivity_scan(spec, part_bound, n_bound):
     m = hspec.total()
     rects = [(m, n_bound)] + [(k, part_bound) for k in hspec.sizes]
     if n_bound >= 0 and part_bound >= 0:
-        total = prod(_rectangle_size(a, b) for a, b in rects)
-        if total > limits.get_cap("enum_cap"):
-            raise LimitExceeded("injectivity scan size %d exceeds enum_cap"
-                                % total)
+        limits.check("enum_cap", prod(_rectangle_size(a, b) for a, b in rects),
+                     "injectivity scan size %d")
     check_rank(("C", m))
     kappas, *pools = (list(enumerate_rectangle(a, b)) for a, b in rects)
     kostant = _counter_for(hspec.complement_roots(), m).count

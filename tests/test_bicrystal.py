@@ -10,7 +10,7 @@ from howekit import (D_statistic, HowekitError, KingElement, Partition,
                      from_bar_complement, gamma_count, highest_weight_vertices,
                      is_highest_weight, jdt_bar, kappa, king_e, king_f, star,
                      statistics, to_lowest, weight_of)
-from howekit.bicrystal import _min_offset, epsilon_string
+from howekit.bicrystal import BarComplement, _min_offset, epsilon_string
 
 
 def T(cols, n):
@@ -97,6 +97,30 @@ def test_bar_complement_pinned():
 def test_bar_complement_round_trip():
     for b in enumerate_B((2, 1), 2):
         assert from_bar_complement(bar_complement(b)) == b
+
+
+def test_bar_complements_equal_validated_ones():
+    # built without the constructor's checks: each equals, and hashes
+    # like, the validated BarComplement of its columns
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            for heights in itertools.product(range(2 * n + 1), repeat=m):
+                for b in enumerate_B(heights, n):
+                    bc = bar_complement(b)
+                    rebuilt = BarComplement(bc.to_json_obj(), n)
+                    assert bc == rebuilt and hash(bc) == hash(rebuilt)
+                    assert type(bc.columns) is tuple
+                    assert all(type(c) is tuple for c in bc.columns)
+
+
+@pytest.mark.parametrize("cols, message", [
+    ([(1,), ()], "^entry 1 is not a barred letter$"),
+    ([(-1, -2), ()], r"^column \(-1, -2\) is not strictly increasing$"),
+    ([(-1,)], "^expected an even number of columns$"),
+], ids=["unbarred", "decreasing", "odd"])
+def test_bar_complement_constructor_checks(cols, message):
+    with pytest.raises(HowekitError, match=message):
+        BarComplement(cols, 2)
 
 
 def test_jdt_three_step_example():

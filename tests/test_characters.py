@@ -664,7 +664,8 @@ def test_char_product_checks_its_first_factor(symbols, comps):
     spec = DiagramSpec(symbols, [1] * len(comps))
     with limits.overridden({"term_cap": 3}):
         with pytest.raises(LimitExceeded,
-                           match="^polynomial product exceeds term cap 3$"):
+                           match="^polynomial product forms 4 term pairs, "
+                                 "above term_cap 3$"):
             char_product(MultiPartition(comps, spec.sizes), spec, 2)
 
 
@@ -786,8 +787,10 @@ def test_decomposition_chain_rejects_non_characters_like_decompose(
 @pytest.mark.parametrize("cap, sorted_before, message", [
     # e_2 of the 4 folded letters of sp_4 has 5 terms, and is
     # chi_(1,1) + chi_0: the first step pairs 1 x 5, the second 2 x 5
-    (4, 0, "character step of 1 constituents by 5 terms exceeds term cap 4"),
-    (9, 5, "character step of 2 constituents by 5 terms exceeds term cap 9"),
+    (4, 0, "character step forms 5 (constituent, term) pairs, "
+     "above term_cap 4"),
+    (9, 5, "character step forms 10 (constituent, term) pairs, "
+     "above term_cap 9"),
 ], ids=["first-step", "second-step"])
 def test_decomposition_step_checks_term_cap_before_sorting(
         monkeypatch, cap, sorted_before, message):

@@ -527,7 +527,7 @@ def test_config_lasts_one_call(capsys, tmp_path):
     default = limits.get_cap("term_cap")
     with limits.overridden({}):
         rc, _, err = run(capsys, product + ["--config", str(tiny)])
-        assert rc == 2 and "term cap 3" in err
+        assert rc == 2 and "term_cap 3" in err
         assert limits.get_cap("term_cap") == default
         rc, out, _ = run(capsys, product)
         assert rc == 0 and out

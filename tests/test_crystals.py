@@ -159,8 +159,8 @@ def test_B_enumerations_check_heights_and_cap(enum):
     with pytest.raises(HowekitError, match=r"column height 7 outside 0\.\.6"):
         next(enum((1, 7), 3))
     with limits.overridden({"enum_cap": 299}):
-        with pytest.raises(LimitExceeded,
-                           match="B_{mu'} has 300 elements, cap is 299"):
+        with pytest.raises(LimitExceeded, match="B_{mu'} has 300 elements, "
+                           "above enum_cap 299"):
             next(enum((3, 2), 3))
     with limits.overridden({"enum_cap": 300}):
         assert next(enum((3, 2), 3)).heights() == (3, 2)
@@ -172,6 +172,18 @@ def test_highest_weight_seed():
     assert is_highest_weight(seed)
     with pytest.raises(HowekitError):
         highest_weight_seed((1, 1, 1), 2)
+
+
+def test_highest_weight_seed_checks_the_column_count():
+    with pytest.raises(HowekitError, match=r"^weight Partition\(\[2, 1\]\) "
+                       "needs more than 1 columns$"):
+        highest_weight_seed((2, 1), 2, 1)
+
+
+def test_highest_weight_vertices_check_the_weight_arity():
+    with pytest.raises(HowekitError, match=r"^weight \(1, 0, 0\) does not "
+                       "have 2 coordinates$"):
+        highest_weight_vertices((1,), (1, 0, 0), 2)
 
 
 def test_vector_module_orbit():
@@ -236,7 +248,8 @@ def test_vertex_cap_trips_before_the_walk(monkeypatch):
     monkeypatch.setattr(crystals, "crystal_f",
                         lambda *args: calls.append(args))
     with pytest.raises(LimitExceeded,
-                       match="^crystal graph exceeds vertex cap 1000000$"):
+                       match="^crystal graph has 4045184 vertices, "
+                             "above vertex_cap 1000000$"):
         generate_crystal_graph(seed)
     assert calls == []
 
@@ -254,6 +267,20 @@ def test_vertex_cap_walks_other_closures():
         generate_crystal_graph(seed, ops=(1,))
         with pytest.raises(LimitExceeded):
             generate_crystal_graph(seed)
+
+
+@pytest.mark.parametrize("seed, ops", [
+    # not highest weight: no dimension to check before the walk
+    (TensorElement([(1,)], 2), None),
+    # highest weight, but an ops subset closes only part of B(lambda)
+    (TensorElement([(-3, -2)], 3), (1,)),
+], ids=["not-highest-weight", "ops-subset"])
+def test_vertex_cap_trips_as_the_graph_grows(seed, ops):
+    # both closures have 2 vertices: the second is one over a cap of 1
+    with limits.overridden({"vertex_cap": 1}):
+        with pytest.raises(LimitExceeded, match="^crystal graph has at least "
+                           "2 vertices, above vertex_cap 1$"):
+            generate_crystal_graph(seed, ops)
 
 
 def _assert_validated(b):

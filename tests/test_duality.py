@@ -218,6 +218,19 @@ def test_king_enumerations_check_cap():
         assert len(enumerate_king_tableaux(shape, (1, 2), 2)) == 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: king_tableaux_by_weight(Partition((1, 1)), 1),
+     r"^shape Partition\(\[1, 1\]\) has more than 1 rows$"),
+    (lambda: king_tableaux_by_weight(Partition((2,)), 1, 1),
+     r"^shape Partition\(\[2\]\) is wider than 1 columns$"),
+    (lambda: enumerate_king_tableaux(Partition((1,)), (1, 0), 1),
+     r"^weight \(1, 0\) does not have 1 coordinates$"),
+], ids=["rows", "columns", "weight"])
+def test_king_enumerations_check_shape_and_weight(call, message):
+    with pytest.raises(HowekitError, match=message):
+        call()
+
+
 def test_king_enumeration_rejects_rank_zero():
     # the same error as KingElement([], 0), which the table would hold
     message = "alphabet rank must be positive"
@@ -363,6 +376,24 @@ def test_star_inverse_keeps_the_rank_check():
         with pytest.raises(HowekitError,
                            match="^expected %d columns, got 2$" % n):
             star_pairing([b], Partition((1,)), (1,), n, 1)
+
+
+def test_star_inverse_checks_the_column_count():
+    with pytest.raises(HowekitError, match="^expected 1 columns, got 2$"):
+        star_inverse(KingElement([[1], [1]], 1), 1)
+
+
+def test_star_inverse_keeps_every_letter():
+    # the letter 3 has no column of b at m = 2: star_inverse raises the
+    # constructor's error rather than drop it and return b = [[], [-1]],
+    # whose star is not t
+    t = KingElement([[(1, False), (3, False)]], 3)
+    with pytest.raises(HowekitError,
+                       match="^entry 3 outside the dual alphabet of rank 2$"):
+        star_inverse(t, 1, 2)
+    # an m below t.m that holds every letter inverts as at t.m
+    t = KingElement([[1, 2]], 2)
+    assert star_inverse(t, 1, 1) == star_inverse(KingElement([[1, 2]], 1))
 
 
 def test_king_table_entries_equal_validated_ones():

@@ -108,6 +108,7 @@ TRUSTED_CALL_SITES = {
     ("duality", "star"),
     ("duality", "star_inverse"),
     ("duality", "king_tableaux_by_weight"),
+    ("bicrystal", "bar_complement"),
 }
 
 
@@ -126,6 +127,38 @@ def test_trusted_call_sites_are_listed():
     for path in MODULES:
         found.update(_trusted_calls(ast.parse(path.read_text()), path.stem))
     assert found == TRUSTED_CALL_SITES
+
+
+# Every cap is read, and a LimitExceeded for it raised, in limits.check
+# alone.  The one other guard, as (module, enclosing function), is the
+# rank cap of the Weyl group walks, which is fixed: no config key sets it.
+FIXED_CAP_GUARDS = {("weyl", "check_rank")}
+
+
+def _name(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def _cap_guards(node, module, scope=()):
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    if ((isinstance(node, ast.Call)
+         and _name(node.func) in ("get_cap", "LimitExceeded"))
+            or (isinstance(node, ast.Raise)
+                and _name(node.exc) == "LimitExceeded")):
+        yield module, ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from _cap_guards(child, module, scope)
+
+
+def test_caps_are_checked_in_limits_alone():
+    found = set()
+    for path in MODULES:
+        if path.stem != "limits":
+            found.update(_cap_guards(ast.parse(path.read_text()), path.stem))
+    assert found == FIXED_CAP_GUARDS
 
 
 # Every nested function that calls its own name, as (module, enclosing

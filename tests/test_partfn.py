@@ -173,6 +173,11 @@ def test_weight_multiplicity_rejects_non_dominant():
         weight_multiplicity(("C", 2), (1, -1), (0, 0))
 
 
+def test_diagram_spec_needs_a_block():
+    with pytest.raises(ValueError, match="^at least one block required$"):
+        DiagramSpec("", ())
+
+
 def test_branching_trivial_spec():
     # the whole algebra as a single C block: restriction is the identity
     spec = DiagramSpec("C", (2,))

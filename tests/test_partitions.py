@@ -121,6 +121,15 @@ def test_multipartition_basics():
     assert len(mu) == 2
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([1, 2], "^needs one block size per component$"),
+    ([0], r"^block sizes must be positive: \(0,\)$"),
+])
+def test_multipartition_rejects_bad_blocks(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        MultiPartition([[1]], blocks)
+
+
 def test_hat_multi_pinned_example():
     mu = MultiPartition([[2, 1, 1], [2], [3, 2]], blocks=[2, 2, 3])
     h = hat_multi(mu, 3)

@@ -299,7 +299,8 @@ def test_bijection_checks_each_B_against_enum_cap():
     with limits.overridden({"enum_cap": 343}):
         with pytest.raises(LimitExceeded) as info:
             verify_bijection(3, 2)
-    assert str(info.value) == "B_{mu'} has 400 elements, cap is 343"
+    assert str(info.value) == ("B_{mu'} has at least 400 elements, "
+                               "above enum_cap 343")
 
 
 def test_contraction_and_jdt_reports():
@@ -559,27 +560,27 @@ def test_duality_failure_entries(monkeypatch, patch, sweep, args, want):
 @pytest.mark.parametrize("sweep, args, error, message", [
     # (2n+1)^m column-height vectors: 5^3 = 125, 3^4 = 81
     (verify_bijection, (2, 3), LimitExceeded,
-     "sweep would list more than enum_cap 50 column-height vectors"),
+     "sweep would list at least 125 column-height vectors, above enum_cap 50"),
     (verify_contraction, (1, 4), LimitExceeded,
-     "sweep would list more than enum_cap 50 column-height vectors"),
+     "sweep would list at least 81 column-height vectors, above enum_cap 50"),
     (verify_jdt, (1, 4), LimitExceeded,
-     "sweep would list more than enum_cap 50 column-height vectors"),
+     "sweep would list at least 81 column-height vectors, above enum_cap 50"),
     # the rank check comes first, whatever the size
     (verify_contraction, (0, 10 ** 9), HowekitError,
      "rank parameter must be >= 1"),
     # C(8, 4) = 70 partitions of the rectangle
     (verify_schur_duality, (4, 4), LimitExceeded,
-     "sweep would list more than enum_cap 50 partitions of the 4 x 4 "
-     "rectangle"),
+     "sweep would list at least 70 partitions of the 4 x 4 rectangle, "
+     "above enum_cap 50"),
     (verify_howe_duality, (4, 4), LimitExceeded,
-     "sweep would list more than enum_cap 50 partitions of the 4 x 4 "
-     "rectangle"),
+     "sweep would list at least 70 partitions of the 4 x 4 rectangle, "
+     "above enum_cap 50"),
     # 4 + 16 + 64 = 84 block shapes
     (verify_generalized_duality, (1, 3, 2), LimitExceeded,
-     "sweep would list more than enum_cap 50 block shapes"),
+     "sweep would list at least 84 block shapes, above enum_cap 50"),
     # C(2+3, 2) * C(1+3, 1) * C(1+3, 1) = 160 cells
     (injectivity_scan, (DiagramSpec("CC", (1, 1)), 3, 3), LimitExceeded,
-     "injectivity scan size 160 exceeds enum_cap"),
+     "injectivity scan size 160, above enum_cap 50"),
 ], ids=["bijection", "contraction", "jdt", "rank-first", "schur", "howe",
         "generalized", "injectivity"])
 def test_sweeps_check_sizes_before_listing(monkeypatch, sweep, args, error,
@@ -633,18 +634,19 @@ def test_duality_sweeps_check_the_rank_before_the_first_product(
         sweep(1, 11)
 
 
-@pytest.mark.parametrize("args, cap, what", [
+@pytest.mark.parametrize("args, cap, count, what", [
     # 2 block shapes, each over the 6 x 1 rectangle: C(7, 1) = 7
-    ((6, 1, 1), 5, "partitions of the 6 x 1 rectangle"),
+    ((6, 1, 1), 5, 7, "partitions of the 6 x 1 rectangle"),
     # 14 block shapes; one of 3 blocks has 3^3 = 27 multipartitions
-    ((2, 3, 1), 20, "multipartitions"),
-])
-def test_generalized_checks_each_block_shape(args, cap, what):
+    ((2, 3, 1), 20, 27, "multipartitions"),
+], ids=["args0-5-partitions of the 6 x 1 rectangle",
+        "args1-20-multipartitions"])
+def test_generalized_checks_each_block_shape(args, cap, count, what):
     with limits.overridden({"enum_cap": cap}):
         with pytest.raises(LimitExceeded) as info:
             verify_generalized_duality(*args)
-    assert str(info.value) == ("sweep would list more than enum_cap %d %s"
-                               % (cap, what))
+    assert str(info.value) == ("sweep would list at least %d %s, above "
+                               "enum_cap %d" % (count, what, cap))
 
 
 def test_generalized_without_block_sizes_is_empty(monkeypatch, capsys):
