@@ -34,8 +34,8 @@ class Value:
 
     @classmethod
     def _trusted(cls, *fields):
-        """An instance from fields, in __slots__ order, that are already
-        valid: no constructor checks run."""
+        """An instance from valid-by-construction fields in __slots__ order,
+        unchecked; tests/test_imports.py lists and checks every call site."""
         return _rebuild(cls, fields)
 
     def __reduce__(self):

@@ -100,6 +100,8 @@ class BarComplement(Value):
 
     def __init__(self, columns, n):
         n = int(n)
+        if n < 1:
+            raise HowekitError("rank must be positive")
         cols = []
         for c in columns:
             col = tuple(int(x) for x in c)
@@ -138,14 +140,10 @@ def bar_complement(b):
 def from_bar_complement(bc):
     """Rebuild the tensor element: column j has barred part cbar_j and
     unbarred part the complement of cbar_jbar."""
-    n = bc.n
-    cols = []
-    for j in range(0, len(bc.columns), 2):
-        barred = bc.columns[j]
-        missing = {-x for x in bc.columns[j + 1]}
-        unbarred = tuple(x for x in range(1, n + 1) if x not in missing)
-        cols.append(barred + unbarred)
-    return TensorElement(cols, n)
+    n, cols = bc.n, bc.columns
+    return TensorElement._trusted(tuple(
+        barred + tuple(x for x in range(1, n + 1) if -x not in bar)
+        for barred, bar in zip(cols[::2], cols[1::2])), n)
 
 
 def _min_offset(left, right):
@@ -194,7 +192,7 @@ def jdt_bar(j, b):
     cols = list(b.columns)
     cols[j - 1] = tuple(sorted(cols[j - 1] + (-xbar,)))
     cols[j] = tuple(sorted(cols[j] + (xbar,)))
-    return TensorElement(cols, b.n)
+    return TensorElement._trusted(tuple(cols), b.n)
 
 
 def _string(op, x):
@@ -236,7 +234,7 @@ def delta_count(j, b):
                            % (j, len(col), n))
     # star is a bijection, so the string of king_e(1, .) on the star is
     # the string of kappa(1, .), carried across once each way
-    low = _string(partial(king_e, 1), star(TensorElement([col], n)))[0]
+    low = _string(partial(king_e, 1), star(type(b)._trusted((col,), n)))[0]
     [cur] = star_inverse(low, n, 1).columns
     if not is_admissible(cur, n):
         raise HowekitError("contraction did not reach an admissible column")

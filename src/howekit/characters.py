@@ -28,7 +28,7 @@ def _check_subsets(k, letters):
     """Raise LimitExceeded when e_k has more subsets of the letters than
     enum_cap allows."""
     limits.check("enum_cap", comb(letters, k) if k >= 0 else 0,
-                 "e_%d of %d letters has %%d subsets" % (k, letters))
+                 "e_%d of %d letters has %d subsets", k, letters)
 
 
 def elem_sym(k, family, n):
@@ -169,17 +169,18 @@ def _det(matrix):
         raise ValueError("empty matrix")
     nvars = matrix[0][0].nvars
     one, zero = LaurentPolynomial.one(nvars), LaurentPolynomial.zero(nvars)
+    nonzero = [{c for c, e in enumerate(r) if not e.is_zero()} for r in matrix]
     levels = [{tuple(range(size))}]
-    for row in matrix[:-1]:
+    for nz in nonzero[:-1]:
         levels.append({cols[:pos] + cols[pos + 1:] for cols in levels[-1]
-                       for pos, c in enumerate(cols) if not row[c].is_zero()})
+                       for pos, c in enumerate(cols) if c in nz})
     minors = {(): one}
-    for row in reversed(matrix):
+    for row, nz in zip(reversed(matrix), reversed(nonzero)):
         below, minors = minors, {}
         for cols in levels.pop():
             total = zero
             for pos, c in enumerate(cols):
-                if not row[c].is_zero():
+                if c in nz:
                     sub = below[cols[:pos] + cols[pos + 1:]]
                     total = total + (row[c] * sub).scale(-1 if pos % 2 else 1)
             minors[cols] = total
@@ -393,15 +394,15 @@ def _constituents(r, strict):
         # eta is strictly decreasing, so top is weakly decreasing
         if top[-1] < 0:
             raise NotACharacter("leading exponent %r is not a partition" % (top,))
-        mults[top] = coef
-    return CharacterDecomposition(mults)
+        mults[Partition._trusted(top)] = coef
+    return CharacterDecomposition._trusted(mults)
 
 
 def _check_monomials(k, letters):
     """Raise LimitExceeded when h_k, the sum of every monomial of degree k
     in the letters, has more of them than enum_cap allows."""
     limits.check("enum_cap", comb(k + letters - 1, letters - 1),
-                 "h_%d of %d letters has %%d monomials" % (k, letters))
+                 "h_%d of %d letters has %d monomials", k, letters)
 
 
 def schur_folded(delta, n):

@@ -246,7 +246,7 @@ def enumerate_B(mu_prime, n):
     heights = _checked_heights(mu_prime, n)
     alphabet = [x for x in range(-n, n + 1) if x != 0]
     for cols in product(*(combinations(alphabet, h) for h in heights)):
-        yield TensorElement(cols, n)
+        yield TensorElement._trusted(cols, n)
 
 
 def _highest_weight_walk(choices, n):

@@ -3,11 +3,11 @@
 All caps are process-wide.  They change only through overridden, for one
 with block, which is also how a key=value config file passed as --config
 applies its caps to one cli command.  Every guard in the package calls
-check before the work it bounds.  The term cap counts the (term, term)
-pairs one polynomial product, or one step of a sweep's decomposition
-chain, may form.  decompose() has no cap, being one pass over its input's
-terms, and neither has exact division, whose quotient's box bounds its
-loop.
+check before the work it bounds, with its message's fields as args that
+check formats only to raise.  The term cap counts the (term, term) pairs
+one polynomial product, or one step of a sweep's decomposition chain,
+may form.  decompose() has no cap, being one pass over its input's terms,
+and neither has exact division, whose quotient's box bounds its loop.
 """
 
 from contextlib import contextmanager
@@ -38,15 +38,15 @@ def get_cap(name):
     return _overrides.get(name, _DEFAULTS[name])
 
 
-def check(name, count, what):
+def check(name, count, what, *args):
     """count, when it is at most the cap called name; otherwise raise
-    LimitExceeded("<what % count>, above <name> <cap>"), such as "B_{mu'}
-    has 300 elements, above enum_cap 299".  A guard that stops at the first
-    lower bound over the cap says so in what: "has at least %d"."""
+    LimitExceeded("<what % (*args, count)>, above <name> <cap>"), such as
+    "B_{mu'} has 300 elements, above enum_cap 299".  A guard that stops at
+    the first lower bound over the cap says so in what: "has at least %d"."""
     cap = get_cap(name)
-    if count > cap:
-        raise LimitExceeded("%s, above %s %d" % (what % count, name, cap))
-    return count
+    if count <= cap:
+        return count
+    raise LimitExceeded("%s, above %s %d" % (what % (*args, count), name, cap))
 
 
 @contextmanager

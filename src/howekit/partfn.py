@@ -172,7 +172,7 @@ def kostant_partition(roots, beta):
         u = sum(map(any, level[0]))
         shifts = sum(comb(u, k) * comb(beta[0], k) << k for k in range(u + 1))
         limits.check("enum_cap", shifts, "kostant count of %r may shift its "
-                     "first coordinate %%d ways" % (beta,))
+                     "first coordinate %d ways", beta)
     return counter.count(beta)
 
 

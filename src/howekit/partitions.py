@@ -243,7 +243,7 @@ def enumerate_rectangle(n, m):
         stack = [()]
         while stack:
             prefix = stack.pop()
-            yield Partition(prefix)
+            yield Partition._trusted(prefix)
             if len(prefix) < n:
                 stack.extend(prefix + (part,) for part in
                              range(prefix[-1] if prefix else m, 0, -1))

@@ -99,28 +99,15 @@ def test_bar_complement_round_trip():
         assert from_bar_complement(bar_complement(b)) == b
 
 
-def test_bar_complements_equal_validated_ones():
-    # built without the constructor's checks: each equals, and hashes
-    # like, the validated BarComplement of its columns
-    for n in (1, 2, 3):
-        for m in (1, 2):
-            for heights in itertools.product(range(2 * n + 1), repeat=m):
-                for b in enumerate_B(heights, n):
-                    bc = bar_complement(b)
-                    rebuilt = BarComplement(bc.to_json_obj(), n)
-                    assert bc == rebuilt and hash(bc) == hash(rebuilt)
-                    assert type(bc.columns) is tuple
-                    assert all(type(c) is tuple for c in bc.columns)
-
-
-@pytest.mark.parametrize("cols, message", [
-    ([(1,), ()], "^entry 1 is not a barred letter$"),
-    ([(-1, -2), ()], r"^column \(-1, -2\) is not strictly increasing$"),
-    ([(-1,)], "^expected an even number of columns$"),
-], ids=["unbarred", "decreasing", "odd"])
-def test_bar_complement_constructor_checks(cols, message):
+@pytest.mark.parametrize("cols, n, message", [
+    ([(1,), ()], 2, "^entry 1 is not a barred letter$"),
+    ([(-1, -2), ()], 2, r"^column \(-1, -2\) is not strictly increasing$"),
+    ([(-1,)], 2, "^expected an even number of columns$"),
+    ([(), ()], 0, "^rank must be positive$"),
+], ids=["unbarred", "decreasing", "odd", "rank"])
+def test_bar_complement_constructor_checks(cols, n, message):
     with pytest.raises(HowekitError, match=message):
-        BarComplement(cols, 2)
+        BarComplement(cols, n)
 
 
 def test_jdt_three_step_example():

@@ -285,11 +285,11 @@ def test_schur_folded_determinant_has_one_row_per_part(monkeypatch):
     assert got == LaurentPolynomial(1, {(k,): 1 for k in range(-400, 401, 2)})
 
 
-def _count_products(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    real = LaurentPolynomial.__mul__
-    monkeypatch.setattr(LaurentPolynomial, "__mul__",
-                        lambda a, b: calls.append(None) or real(a, b))
+    real = getattr(LaurentPolynomial, name)
+    monkeypatch.setattr(LaurentPolynomial, name,
+                        lambda *args: calls.append(None) or real(*args))
     return calls
 
 
@@ -298,7 +298,7 @@ def test_determinant_walks_many_rows(monkeypatch):
     # recursion depth: a diagonal matrix of monomials gives their product,
     # one product per row.  6 rows go first: an expansion through zeros
     # shows there as extra products, at 2,000 rows as 2^2000 subsets
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "__mul__")
     zero = LaurentPolynomial.zero(2)
     for size in (6, 2000):
         diagonal = [LaurentPolynomial.monomial((i % 3, -(i % 5)))
@@ -362,10 +362,12 @@ def test_determinant_matches_leibniz_formula():
 def test_determinant_forms_one_product_per_reached_entry(monkeypatch):
     # a full 6 x 6 matrix reaches every column subset: each subset of size
     # k multiplies k entries by their minors, sum_k k C(6, k) = 6 * 2^5
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "__mul__")
+    tests = _count_calls(monkeypatch, "is_zero")
     characters._det([[LaurentPolynomial.monomial((i, j)) for j in range(6)]
                      for i in range(6)])
     assert len(calls) == 192
+    assert len(tests) == 36  # each entry is tested for zero once
 
 
 def _ac04_grid():

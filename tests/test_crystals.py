@@ -85,7 +85,10 @@ def test_highest_weight_is_operator_kill_set():
                 all(crystal_e(i, b) is None for i in range(n))
 
 
-def test_enumerate_B_counts():
+def test_enumerate_B_counts(monkeypatch):
+    # alphabet combinations are columns by construction: none is rechecked
+    checks = []
+    monkeypatch.setattr(crystals, "check_column", lambda *a: checks.append(a))
     for n, mu_p in [(2, (1,)), (2, (2, 1)), (3, (3, 2))]:
         want = math.prod(math.comb(2 * n, h) for h in mu_p)
         got = all_elements(mu_p, n)
@@ -94,6 +97,7 @@ def test_enumerate_B_counts():
         # lex order: columns left to right, each column's letters in order
         assert [b.columns for b in got] == sorted(b.columns for b in got)
     assert all_elements((), 2) == [TensorElement([], 2)]
+    assert checks == []
 
 
 def test_highest_weight_vertices_weights():
@@ -129,15 +133,13 @@ def test_highest_weight_generator_matches_filter():
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_highest_weight_walk_matches_filter(n, m):
     # the shared walk lists every mu' in product order, each with its
-    # highest weight elements, built unchecked, and their weights
+    # highest weight elements and their weights
     got = list(_highest_weight_walk([range(2 * n + 1)] * m, n))
     keys = list(itertools.product(range(2 * n + 1), repeat=m))
     assert [mu_p for mu_p, _ in got] == keys
     for mu_p, pairs in got:
         assert pairs == [(b, weight_of(b))
                          for b in highest_weight_oracle(mu_p, n)], mu_p
-        for b, _ in pairs:
-            _assert_validated(b)
 
 
 def test_highest_weight_generator_walks_many_columns():
@@ -281,37 +283,6 @@ def test_vertex_cap_trips_as_the_graph_grows(seed, ops):
         with pytest.raises(LimitExceeded, match="^crystal graph has at least "
                            "2 vertices, above vertex_cap 1$"):
             generate_crystal_graph(seed, ops)
-
-
-def _assert_validated(b):
-    # a result built without checks equals, and hashes like, the public
-    # constructor's result, and holds its columns as tuples
-    rebuilt = TensorElement(b.to_json_obj(), b.n)
-    assert b == rebuilt and hash(b) == hash(rebuilt)
-    assert type(b.columns) is tuple
-    assert all(type(c) is tuple for c in b.columns)
-
-
-def test_highest_weight_elements_equal_validated_ones():
-    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3), (3, 3)]
-    for n, m in cases:
-        for mu_p in itertools.product(range(2 * n + 1), repeat=m):
-            [(_, pairs)] = _highest_weight_walk([(h,) for h in mu_p], n)
-            for w in {w for _, w in pairs}:
-                for b in highest_weight_vertices(mu_p, w, n):
-                    _assert_validated(b)
-
-
-def test_operator_images_equal_validated_ones():
-    for n in (1, 2, 3):
-        for m in (1, 2):
-            for mu_p in itertools.product(range(2 * n + 1), repeat=m):
-                for b in enumerate_B(mu_p, n):
-                    for i in range(n):
-                        for op in (crystal_f, crystal_e):
-                            c = op(i, b)
-                            if c is not None:
-                                _assert_validated(c)
 
 
 def test_highest_weight_elements_keep_the_rank_check():

@@ -322,15 +322,6 @@ def test_king_json_round_trip():
     assert KingElement.from_json_obj(t.to_json_obj(), 2) == t
 
 
-def _assert_validated(x, rebuilt):
-    # a result built without checks equals, and hashes like, the public
-    # constructor's result, and holds its columns as tuples of ints
-    assert x == rebuilt and hash(x) == hash(rebuilt)
-    assert type(x.columns) is tuple
-    assert all(type(c) is tuple for c in x.columns)
-    assert all(type(k) is int for c in x.columns for k in c)
-
-
 def _all_elements(n, m):
     for mu_p in itertools.product(range(2 * n + 1), repeat=m):
         yield from enumerate_B(mu_p, n)
@@ -345,14 +336,14 @@ def _star_by_definition(b):
 
 
 def test_star_images_equal_validated_ones():
-    # b comes from the public constructor, so the round trip checks
-    # star_inverse against it
+    # star against its definition, built through the public constructor,
+    # and star_inverse against the element it came from
     for n in (1, 2):
         for m in (1, 2):
             for b in _all_elements(n, m):
                 t = star(b)
-                _assert_validated(t, _star_by_definition(b))
-                _assert_validated(star_inverse(t, n, m), b)
+                assert t == _star_by_definition(b)
+                assert star_inverse(t, n, m) == b
 
 
 def test_star_inverse_kernel_undoes_star():
@@ -396,44 +387,12 @@ def test_star_inverse_keeps_every_letter():
     assert star_inverse(t, 1, 1) == star_inverse(KingElement([[1, 2]], 1))
 
 
-def test_king_table_entries_equal_validated_ones():
-    shapes = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1),
-              (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    for m in (1, 2, 3):
-        for shape in shapes:
-            if len(shape) > m:
-                continue
-            for bucket in king_tableaux_by_weight(Partition(shape), m).values():
-                for t in bucket:
-                    _assert_validated(t, KingElement.from_json_obj(
-                        t.to_json_obj(), m))
-
-
-def test_king_operator_images_equal_validated_ones():
-    for n in (1, 2):
-        for m in (1, 2):
-            ops = list(range(1, m + 1)) + [-j for j in range(1, m)]
-            for b in _all_elements(n, m):
-                t = star(b)
-                for idx in ops:
-                    for op in (king_f, king_e):
-                        s = op(idx, t)
-                        if s is not None:
-                            _assert_validated(s, KingElement.from_json_obj(
-                                s.to_json_obj(), m))
-
-
 def test_king_columns_hold_order_keys():
     # 2j - 1 for j, 2j for jbar, whatever spelling the letters came in
     t = K([[(1, False), (2, True)]], 2)
     assert t.columns == ((1, 4),)
     for same in (K([[1, 4]], 2), K([[KingEntry(1), KingEntry(2, True)]], 2)):
         assert same == t and hash(same) == hash(t)
-    for n in (1, 2):
-        for m in (1, 2):
-            for b in _all_elements(n, m):
-                t = star(b)
-                assert KingElement(t.columns, t.m) == t
 
 
 @pytest.mark.parametrize("cols, message", [

@@ -127,22 +127,6 @@ def test_cold_weyl_character_ignores_decompose_cap():
     assert chi == weyl_character(Partition((2, 1)), "A", 3)
 
 
-def test_trusted_results_equal_validated_ones():
-    # sums, negations, scalings, products and quotients skip the
-    # constructor's checks; each must still be a clean polynomial
-    rng = random.Random(5)
-    for _ in range(20):
-        p = random_poly(rng, 2, 4)
-        q = random_poly(rng, 2, 3)
-        results = [p + q, p + (-p), -p, p.scale(-3), p * q, q * p]
-        if not q.is_zero():
-            results.append((p * q).exact_div(q))
-        for r in results:
-            assert type(r) is LaurentPolynomial
-            assert r == LaurentPolynomial(r.nvars, r.terms)
-            assert 0 not in r.terms.values()
-
-
 def test_json_round_trip_and_ordering():
     p = mono((1, -2), 3) + mono((0, 0), -1) + mono((2, 2))
     obj = p.to_json_obj()
@@ -222,6 +206,13 @@ def test_overridden_converts_every_value_first():
         with limits.overridden({"term_cap": "3", "enum_cap": "many"}):
             pass
     assert limits.get_cap("term_cap") == default
+
+
+def test_check_formats_its_message_only_to_raise():
+    class Unspellable:
+        def __repr__(self):
+            raise AssertionError("formatted under the cap")
+    assert limits.check("term_cap", 3, "%r has %d pairs", Unspellable()) == 3
 
 
 def test_elem_sym_values():

@@ -52,6 +52,8 @@ def test_value_rule(cls):
     else:
         assert hash(a) == hash(b)
     assert a != c and not a == c
+    # the constructor takes the fields in __slots__ order, as _trusted does
+    assert cls(*(getattr(a, s) for s in cls.__slots__)) == a
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(twin) is cls and twin == a
         if cls is not CharacterDecomposition:
