@@ -1,6 +1,7 @@
 import os
 
 import _acreport
+from _trustcheck import trusted_builds  # noqa: F401  (a shared fixture)
 
 
 def pytest_configure(config):

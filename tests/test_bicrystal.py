@@ -99,6 +99,18 @@ def test_bar_complement_round_trip():
         assert from_bar_complement(bar_complement(b)) == b
 
 
+def test_bar_complements_equal_validated_ones(trusted_builds):
+    reached, mismatches = trusted_builds
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            for heights in itertools.product(range(2 * n + 1), repeat=m):
+                for b in enumerate_B(heights, n):
+                    from_bar_complement(bar_complement(b))
+    assert mismatches == []
+    assert reached >= {("bicrystal", "bar_complement"),
+                       ("bicrystal", "from_bar_complement")}
+
+
 @pytest.mark.parametrize("cols, n, message", [
     ([(1,), ()], 2, "^entry 1 is not a barred letter$"),
     ([(-1, -2), ()], 2, r"^column \(-1, -2\) is not strictly increasing$"),

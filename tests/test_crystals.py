@@ -285,6 +285,30 @@ def test_vertex_cap_trips_as_the_graph_grows(seed, ops):
             generate_crystal_graph(seed, ops)
 
 
+def test_highest_weight_elements_equal_validated_ones(trusted_builds):
+    reached, mismatches = trusted_builds
+    cases = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)] + [(2, 3), (3, 3)]
+    for n, m in cases:
+        for mu_p in itertools.product(range(2 * n + 1), repeat=m):
+            [(_, pairs)] = _highest_weight_walk([(h,) for h in mu_p], n)
+            for w in {w for _, w in pairs}:
+                list(highest_weight_vertices(mu_p, w, n))
+    assert mismatches == []
+    assert ("crystals", "_highest_weight_walk") in reached
+
+
+def test_operator_images_equal_validated_ones(trusted_builds):
+    reached, mismatches = trusted_builds
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            for mu_p in itertools.product(range(2 * n + 1), repeat=m):
+                for b in enumerate_B(mu_p, n):
+                    for i in range(n):
+                        crystal_f(i, b), crystal_e(i, b)
+    assert mismatches == []
+    assert reached >= {("crystals", "enumerate_B"), ("crystals", "_apply_at")}
+
+
 def test_highest_weight_elements_keep_the_rank_check():
     # the rank is checked before any column height
     for call in [lambda: highest_weight_vertices((), (), 0),

@@ -387,6 +387,31 @@ def test_star_inverse_keeps_every_letter():
     assert star_inverse(t, 1, 1) == star_inverse(KingElement([[1, 2]], 1))
 
 
+def test_king_table_entries_equal_validated_ones(trusted_builds):
+    reached, mismatches = trusted_builds
+    shapes = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1),
+              (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    for m in (1, 2, 3):
+        for shape in shapes:
+            if len(shape) <= m:
+                king_tableaux_by_weight(Partition(shape), m)
+    assert mismatches == []
+    assert ("duality", "king_tableaux_by_weight") in reached
+
+
+def test_king_operator_images_equal_validated_ones(trusted_builds):
+    reached, mismatches = trusted_builds
+    for n in (1, 2):
+        for m in (1, 2):
+            ops = list(range(1, m + 1)) + [-j for j in range(1, m)]
+            for b in _all_elements(n, m):
+                t = star(b)
+                for idx in ops:
+                    king_f(idx, t), king_e(idx, t)
+    assert mismatches == []
+    assert ("duality", "star") in reached
+
+
 def test_king_columns_hold_order_keys():
     # 2j - 1 for j, 2j for jbar, whatever spelling the letters came in
     t = K([[(1, False), (2, True)]], 2)

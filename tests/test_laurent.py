@@ -127,6 +127,22 @@ def test_cold_weyl_character_ignores_decompose_cap():
     assert chi == weyl_character(Partition((2, 1)), "A", 3)
 
 
+def test_trusted_results_equal_validated_ones(trusted_builds):
+    # sums, negations, scalings, products and quotients skip the
+    # constructor's checks; the fixture rebuilds each through it
+    reached, mismatches = trusted_builds
+    rng = random.Random(5)
+    for _ in range(20):
+        p = random_poly(rng, 2, 4)
+        q = random_poly(rng, 2, 3)
+        p + q, p + (-p), -p, p.scale(-3), p * q, q * p
+        if not q.is_zero():
+            (p * q).exact_div(q)
+    assert mismatches == []
+    assert reached >= {("laurent", "LaurentPolynomial." + f)
+                       for f in ("__add__", "scale", "__mul__", "exact_div")}
+
+
 def test_json_round_trip_and_ordering():
     p = mono((1, -2), 3) + mono((0, 0), -1) + mono((2, 2))
     obj = p.to_json_obj()
