@@ -225,7 +225,9 @@ def is_coadmissible(c, n):
 
 
 def _checked_heights(mu_prime, n):
-    """The column heights of B_{mu'}, each in 0..2n, under enum_cap."""
+    """The column heights of B_{mu'}, each in 0..2n, under enum_cap, and
+    the rank n through int(), as TensorElement stores it."""
+    n = int(n)
     if n < 1:
         raise HowekitError("rank must be positive")
     heights = tuple(int(h) for h in mu_prime)
@@ -234,7 +236,7 @@ def _checked_heights(mu_prime, n):
             raise HowekitError("column height %d outside 0..%d" % (h, 2 * n))
     limits.check("enum_cap", prod(comb(2 * n, h) for h in heights),
                  "B_{mu'} has %d elements")
-    return heights
+    return heights, n
 
 
 def enumerate_B(mu_prime, n):
@@ -243,7 +245,7 @@ def enumerate_B(mu_prime, n):
     >>> len(list(enumerate_B((1,), 2)))
     4
     """
-    heights = _checked_heights(mu_prime, n)
+    heights, n = _checked_heights(mu_prime, n)
     alphabet = [x for x in range(-n, n + 1) if x != 0]
     for cols in product(*(combinations(alphabet, h) for h in heights)):
         yield TensorElement._trusted(cols, n)
@@ -296,7 +298,7 @@ def highest_weight_vertices(mu_prime, lam, n):
     target += (0,) * (n - len(target))
     if len(target) != n:
         raise HowekitError("weight %r does not have %d coordinates" % (lam, n))
-    heights = _checked_heights(mu_prime, n)
+    heights, n = _checked_heights(mu_prime, n)
     [(_, pairs)] = _highest_weight_walk([(h,) for h in heights], n)
     return [b for b, w in pairs if w == target]
 

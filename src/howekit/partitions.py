@@ -10,14 +10,11 @@ vector w, I(w) reverses the coordinates and negates them.
 from ._value import Value
 
 
-def _as_parts(parts):
-    if isinstance(parts, Partition):
-        return parts.parts
-    return tuple(int(x) for x in parts)
-
-
 class Partition(Value):
     """A partition with explicit stored length.
+
+    A Partition argument is taken as it is, unchecked: every Partition
+    was checked here or built valid by construction at a _trusted site.
 
     >>> Partition([3, 2, 0]) == Partition([3, 2])
     True
@@ -28,7 +25,10 @@ class Partition(Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = _as_parts(parts)
+        if isinstance(parts, Partition):
+            object.__setattr__(self, "parts", parts.parts)
+            return
+        parts = tuple(int(x) for x in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -37,12 +37,8 @@ class Partition(Value):
         object.__setattr__(self, "parts", parts)
 
     def stripped(self):
-        """The parts with trailing zeros removed."""
-        p = self.parts
-        k = len(p)
-        while k > 0 and p[k - 1] == 0:
-            k -= 1
-        return p[:k]
+        """The parts with trailing zeros removed, the only zeros there are."""
+        return tuple(filter(None, self.parts))
 
     def padded(self, m):
         """The parts padded with zeros to length m (error if too long)."""
@@ -233,6 +229,7 @@ def reduce_column_full(p, bound):
 
 def enumerate_rectangle(n, m):
     """Yield every partition in P_{n,m} exactly once, lexicographically."""
+    n, m = int(n), int(m)
     if n < 0 or m < 0:
         raise ValueError("rectangle bounds must be nonnegative")
 

@@ -109,7 +109,7 @@ def multiplicity_char_route(lam, symbols, sizes, mu, n):
         mu = MultiPartition(mu, spec.sizes)
     # char_product checks the blocks of a MultiPartition
     dec = decompose(char_product(mu, spec, n), "C", n)
-    return dec[Partition(lam)]
+    return dec[lam]
 
 
 def multiplicity_branch_route(lam, symbols, sizes, mu, n):
@@ -137,7 +137,7 @@ def _compare(dec, lams, other_route, tag, route_key):
     fails = [dict(tag, lam=list(q.stripped()), reason="unexpected constituent")
              for q in dec if q not in lams]
     for lam, weight in lams.items():
-        left, right = dec[lam], other_route(weight)
+        left, right = dec.mults.get(lam, 0), other_route(weight)
         if left != right:
             fails.append(dict(tag, lam=list(lam.stripped()), char_route=left,
                               **{route_key: right}))

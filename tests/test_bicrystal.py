@@ -87,6 +87,19 @@ def test_dilate_inverts_contraction():
     assert full == T([(-1,)], 1) or full.heights()[0] >= 1
 
 
+def test_statistics_guards():
+    empty = T([], 2)
+    assert dilate_fully(empty) is empty
+    b = T([(-2, -1), (1, 2)], 2)
+    for j in (0, 2):
+        with pytest.raises(HowekitError, match=r"^index %d outside 1\.\.1$"
+                           % j):
+            gamma_count(j, b)
+    with pytest.raises(HowekitError, match=r"^D needs every column of "
+                       r"height 2 \(weight zero\)$"):
+        D_statistic(T([(-2, -1), (1,)], 2))
+
+
 def test_bar_complement_pinned():
     b = T([(-3, 1, 5), (-5, -1, 2, 4, 5)], 5)
     bc = bar_complement(b)

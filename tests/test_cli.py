@@ -104,7 +104,7 @@ def test_crystal_graph_json_ops_subset(capsys):
     assert set(obj) >= {"vertices", "edges"}
 
 
-def test_product_decompose_round_trip(capsys, monkeypatch):
+def test_product_decompose_round_trip(capsys, monkeypatch, tmp_path):
     rc, poly, _ = run(capsys, ["product", "--symbols", "C", "--sizes", "2",
                                "--mu", "2,1", "--n", "2"])
     assert rc == 0
@@ -112,6 +112,11 @@ def test_product_decompose_round_trip(capsys, monkeypatch):
                      stdin=poly, monkeypatch=monkeypatch)
     assert rc == 0
     assert out == '[{"lam":[2,1],"mult":1}]\n'
+    # and from a file named by --input
+    path = tmp_path / "poly.json"
+    path.write_text(poly)
+    assert run(capsys, ["decompose", "--family", "C", "--n", "2",
+                        "--input", str(path)]) == (0, out, "")
 
 
 def test_star_without_columns_exits_two(capsys):
@@ -165,6 +170,13 @@ TWO_COLUMNS = ["--element", "-2,-1;1,2", "--n", "2"]
       "--nu", "1"], "one size per symbol required"),
     (["branch", "--kappa", "1", "--symbols", "A", "--sizes", "0",
       "--nu", "1"], "sizes must be positive: (0,)"),
+    # a flag that needs a companion flag, or a family, that is not given
+    (["kostant", "--twisted", "--family", "A", "--m", "2", "--beta", "1,1"],
+     "--twisted needs family C"),
+    (["star", "--inverse", "--element", "1", "--n", "2"],
+     "star --inverse needs --m"),
+    (["charge", "--king", "[[],[]]"], "charge --king needs --m"),
+    (["charge", "--element", "-2,-1;-2,-1"], "charge --element needs --n"),
 ])
 def test_bad_operator_and_spec_input_exits_two(capsys, args, message):
     assert run(capsys, args) == (2, "", "error: %s\n" % message)
@@ -441,6 +453,26 @@ def test_config_cap_trips(capsys, tmp_path):
                                   "--n", "2", "--config", str(cfg)])
     assert rc == 2
     assert "error" in err
+
+
+PRODUCT = ["product", "--symbols", "C", "--sizes", "2", "--mu", "2,1",
+           "--n", "2"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n# tiny on purpose\n\nterm_cap = 3\n",
+     "polynomial product forms 12 term pairs, above term_cap 3"),
+    ("term_cap 3\n", "config line without '=': 'term_cap 3'"),
+    ("term_cap = three\n", "invalid literal for int() with base 10: 'three'"),
+])
+def test_config_file_lines(capsys, tmp_path, text, message):
+    # blank and comment lines are skipped, so the cap still applies; a
+    # line without '=' or with a non-integer value is malformed input
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text(text)
+    with limits.overridden({}):
+        assert run(capsys, PRODUCT + ["--config", str(cfg)]) == (
+            2, "", "error: %s\n" % message)
 
 
 def test_branch_subcommand(capsys):

@@ -309,6 +309,18 @@ def test_operator_images_equal_validated_ones(trusted_builds):
     assert reached >= {("crystals", "enumerate_B"), ("crystals", "_apply_at")}
 
 
+def test_crystal_walks_store_the_rank_as_an_int(trusted_builds):
+    # the rank goes through int() at the boundary, as TensorElement's does
+    reached, mismatches = trusted_builds
+    elements = list(enumerate_B((1,), True))
+    elements += highest_weight_vertices((1,), (1,), True)
+    assert len(elements) == 3
+    assert all(type(b.n) is int and b.n == 1 for b in elements)
+    assert mismatches == []
+    assert reached == {("crystals", "enumerate_B"),
+                       ("crystals", "_highest_weight_walk")}
+
+
 def test_highest_weight_elements_keep_the_rank_check():
     # the rank is checked before any column height
     for call in [lambda: highest_weight_vertices((), (), 0),

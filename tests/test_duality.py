@@ -262,6 +262,19 @@ def test_verify_combinatorial_howe_report():
     assert all(len(pair) == 2 for pair in rep["pairs"])
 
 
+def test_verify_combinatorial_howe_reports_a_failure(monkeypatch):
+    # a star that sends every vertex to the first one's image: the second
+    # vertex, [[-2, 2], [-2]], does not come back
+    from howekit import duality
+    real = duality.star
+    first = TensorElement([(-2, -1), (1,)], 2)
+    monkeypatch.setattr(duality, "star", lambda b: real(first))
+    assert verify_combinatorial_howe(2, 2, (2, 1), Partition((1,))) == {
+        "ok": False,
+        "failure": {"element": [[-2, 2], [-2]],
+                    "reason": "star not invertible"}}
+
+
 def test_star_rejects_an_element_with_no_columns():
     with pytest.raises(HowekitError, match="at least one column"):
         star(TensorElement([], 2))

@@ -18,6 +18,7 @@ def test_normalization_and_equality():
     assert hash(Partition([3, 2, 0])) == hash(Partition([3, 2]))
     assert len(Partition([3, 2, 0])) == 3  # stored length survives
     assert Partition([3, 2, 0]).stripped() == (3, 2)
+    assert Partition([0, 0]).stripped() == Partition().stripped() == ()
     assert Partition(()).size() == 0
     assert Partition([4, 1]).size() == 5
     assert Partition([4, 1]).length() == 2
@@ -71,6 +72,22 @@ def test_hat_outside_rectangle():
         hat(Partition([5, 1]), 2, 3)
 
 
+def test_partition_argument_is_taken_as_it_is():
+    # a Partition is valid already, so its parts are kept, stored length
+    # and all, and not compared again: this int counts its comparisons
+    compared = []
+
+    class Part(int):
+        def __lt__(self, other):
+            compared.append((self, other))
+            return int(self) < int(other)
+
+    p = Partition._trusted(tuple(map(Part, (3, 2, 2, 0))))
+    q = Partition(p)
+    assert q.parts is p.parts and len(q) == 4 and compared == []
+    assert Partition(Partition([3, 2, 0])).parts == (3, 2, 0)
+
+
 def test_enumerate_rectangle_order_and_count():
     import math
     got = rect(2, 2)
@@ -92,6 +109,11 @@ def test_enumerate_rectangle_walks_tall_rectangles():
     # the bound check runs at the call, not at the first next
     with pytest.raises(ValueError, match="nonnegative"):
         enumerate_rectangle(-1, 2)
+
+
+def test_enumerate_rectangle_converts_its_bounds():
+    assert rect(2, 2.0) == rect(2, 2)
+    assert rect(True, 2) == rect(1, 2)
 
 
 def test_involution_pinned_value():

@@ -310,6 +310,23 @@ def test_contraction_and_jdt_reports():
     assert rep["failures"] == []
 
 
+def test_jdt_reports_each_broken_slide_in_order(monkeypatch, capsys):
+    # a jdt_bar that vanishes on both slides of one vertex, where the
+    # transported operator does not
+    from howekit import verify
+    from howekit.cli import dispatch
+    real = verify.jdt_bar
+    monkeypatch.setattr(verify, "jdt_bar", lambda j, b: (
+        None if b.columns == ((), (), (1,)) else real(j, b)))
+    want = [{"mu_prime": [0, 0, 1], "element": [[], [], [1]], "j": j,
+             "reason": "slide disagrees with transport"} for j in (1, 2)]
+    rep = verify_jdt(1, 3)
+    assert rep["cells"] == 128
+    assert json.dumps(rep["failures"]) == json.dumps(want)
+    assert dispatch(["verify-jdt", "--n", "1", "--m", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == want
+
+
 def test_contraction_reports_a_broken_kappa_in_order(monkeypatch):
     # a kappa that, on a third of the (j, b), stands in kappa_2 for
     # kappa_1 or vanishes for j = 2; the report was recorded before the
