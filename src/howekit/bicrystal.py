@@ -21,12 +21,14 @@ from the string lengths of the lowest weight vertex, or equivalently
 from contraction counts delta_j and slide counts gamma_j.
 """
 
+from bisect import bisect
 from functools import lru_cache, partial
 from math import ceil
 from operator import gt
 
 from ._value import Value
-from .crystals import TensorElement, _lower, _raise, is_admissible
+from .crystals import (TensorElement, _lower, _raise, check_column,
+                       is_admissible)
 from .duality import KingElement, king_weight, star, star_inverse
 from .errors import HowekitError
 
@@ -104,14 +106,10 @@ class BarComplement(Value):
             raise HowekitError("rank must be positive")
         cols = []
         for c in columns:
-            col = tuple(int(x) for x in c)
-            for x in col:
-                if not -n <= x <= -1:
-                    raise HowekitError("entry %d is not a barred letter" % (x,))
-            for a, b in zip(col, col[1:]):
-                if a >= b:
-                    raise HowekitError("column %r is not strictly increasing"
-                                       % (col,))
+            col = check_column(c, n)
+            if col and col[-1] > 0:  # sorted: col[bisect(col, 0)] comes first
+                raise HowekitError("entry %d is not a barred letter"
+                                   % col[bisect(col, 0)])
             cols.append(col)
         if len(cols) % 2:
             raise HowekitError("expected an even number of columns")

@@ -14,7 +14,7 @@ produces the same determinant as the Jacobi-Trudi matrix.
 
 from functools import lru_cache, partial, reduce
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 from operator import add, mul
 
 from . import limits, weyl
@@ -87,10 +87,12 @@ def _products(factor, family, n):
 
     Steps are kept for every prefix, keyed by its parent's index and its
     last key; each factor is built once, and each tuple finished once, so
-    tuples sharing a prefix share their steps.  The tables live as long
-    as the returned function: one sweep.  Every factor is a character, so
-    the product is W-invariant by construction and is not checked; the
-    finish keeps decompose's sign and partition checks and messages.
+    tuples sharing a prefix share their steps.  Each step checks its
+    count of pairs, len(state) * len(factor), against term_cap before it
+    sorts any.  The tables live as long as the returned function: one
+    sweep.  Every factor is a character, so the product is W-invariant by
+    construction and is not checked; the finish keeps decompose's sign
+    and partition checks and messages.
     """
     r = weyl.rho((family, n))
     table = {}  # (parent index, last key) -> (index, state); () is 0
@@ -104,8 +106,10 @@ def _products(factor, family, n):
             if got is None:
                 if k not in factors:
                     factors[k] = factor(k)
-                got = table[at, k] = (len(table) + 1,
-                                      _klimyk_step(family, state, factors[k]))
+                f = factors[k]
+                limits.check("term_cap", len(state) * len(f),
+                             "character step forms %d (constituent, term) pairs")
+                got = table[at, k] = (len(table) + 1, _klimyk(family, state, f))
             at, state = got
         if at not in finished:
             finished[at] = _constituents(r, state)
@@ -131,15 +135,6 @@ def _klimyk(family, state, f):
                 s, nu = got
                 out[nu] = out.get(nu, 0) + s * mult * c
     return {nu: c for nu, c in out.items() if c}
-
-
-def _klimyk_step(family, state, f):
-    """_klimyk as a step of a decomposition chain: its closed-form count
-    of pairs, len(state) * len(f), is checked against term_cap before any
-    pair is sorted."""
-    limits.check("term_cap", len(state) * len(f),
-                 "character step forms %d (constituent, term) pairs")
-    return _klimyk(family, state, f)
 
 
 def _elem_products(family, n):
@@ -293,7 +288,6 @@ def _alternant(v, family):
 
 @lru_cache(maxsize=None)
 def _weyl_character_cached(lam, family, rank):
-    weyl.check_rank((family, rank))
     r = weyl.rho((family, rank))
     return _alternant(tuple(map(add, lam, r)), family).exact_div(
         _alternant(r, family))
@@ -303,10 +297,16 @@ def weyl_character(lam, family, rank):
     """The irreducible character as an alternant quotient.
 
     Family C gives the sp_{2 rank} character in rank variables; family A
-    gives the gl_rank Schur polynomial.
+    gives the gl_rank Schur polynomial.  Raises LimitExceeded, before
+    enumerating, when the |W| points of each alternant's orbit are more
+    than enum_cap allows, whether or not the character is cached.
     """
     family = str(family).upper()
     v = weyl.check_dominant(lam, (family, rank))
+    family, rank = weyl.check_rank((family, rank))
+    order = factorial(rank) << rank if family == "C" else factorial(rank)
+    limits.check("enum_cap", order, "alternant of W(%s_%d) has %d terms",
+                 family, rank if family == "C" else rank - 1)
     return _weyl_character_cached(v, family, rank)
 
 

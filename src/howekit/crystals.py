@@ -138,7 +138,9 @@ def _raise(b, order, f_map):
 
 @lru_cache(maxsize=None)
 def _f_map(i, n):
-    # f_i on the letters it acts on; the cached dict is shared, never mutate it
+    # f_i on the letters it acts on; the cached dict is shared, never mutate
+    # it.  Equal keys share an entry (1.0 == 1), so the letters are ints
+    i = int(i)
     if i == 0:
         return {-1: 1}
     if not 1 <= i <= n - 1:
@@ -294,11 +296,11 @@ def _highest_weight_walk(choices, n):
 def highest_weight_vertices(mu_prime, lam, n):
     """The set B^hw_{mu', lam}: highest weight vertices of a given weight,
     in enumerate_B's order, read off the highest weight walk's weights."""
+    heights, n = _checked_heights(mu_prime, n)
     target = tuple(int(x) for x in lam)
     target += (0,) * (n - len(target))
     if len(target) != n:
         raise HowekitError("weight %r does not have %d coordinates" % (lam, n))
-    heights, n = _checked_heights(mu_prime, n)
     [(_, pairs)] = _highest_weight_walk([(h,) for h in heights], n)
     return [b for b, w in pairs if w == target]
 

@@ -23,9 +23,9 @@ _DEFAULTS = {
     "vertex_cap": 1_000_000,
     # maximum number of elements an enumeration (crystal spaces, tableaux) may
     # yield, of letter subsets an elementary symmetric polynomial may sum, of
-    # monomials a complete symmetric one may sum, of first-coordinate shifts
-    # a Kostant partition count may try, and of the items in each list a
-    # verification sweep builds
+    # monomials a complete symmetric one may sum, of orbit points |W| an
+    # alternant may list, of first-coordinate shifts a Kostant partition
+    # count may try, and of the items in each list a verification sweep builds
     "enum_cap": 10_000_000,
 }
 

@@ -180,10 +180,8 @@ def conjugate_concat(mu):
     Here block j bounds the COLUMNS of component j, so the conjugate has at
     most blocks[j] parts.
     """
-    out = []
-    for c, b in zip(mu.components, mu.blocks):
-        out.extend(conjugate(c).padded(b))
-    return tuple(out)
+    return MultiPartition([conjugate(c) for c in mu.components],
+                          mu.blocks).flatten()
 
 
 def hat_multi(mu, n):

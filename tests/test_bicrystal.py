@@ -135,6 +135,18 @@ def test_bar_complement_constructor_checks(cols, n, message):
         BarComplement(cols, n)
 
 
+@pytest.mark.parametrize("cols, message", [
+    ([(-3,), ()], "^letter -3 outside the rank-2 alphabet$"),
+    ([(0,), ()], "^letter 0 outside the rank-2 alphabet$"),
+    ([(2, 1), ()], r"^column \(2, 1\) is not strictly increasing$"),
+    ([(-1,), (-2, 1, 2)], "^entry 1 is not a barred letter$"),
+], ids=["below", "zero", "decreasing-unbarred", "first-unbarred"])
+def test_bar_complement_columns_are_checked_as_columns(cols, message):
+    # each column passes check_column, then must hold barred letters only
+    with pytest.raises(HowekitError, match=message):
+        BarComplement(cols, 2)
+
+
 def test_jdt_three_step_example():
     b = T([(-3, 1, 5), (-5, -1, 2, 4, 5)], 5)
     out = jdt_bar(1, b)

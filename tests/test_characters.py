@@ -684,6 +684,31 @@ def test_elem_sym_checks_its_cap_whatever_the_cache_holds():
             elem_sym(3, "C", 11)
 
 
+def test_weyl_character_checks_its_orbit_before_enumerating(monkeypatch):
+    # the rank cap admits C_8, but |W(C_8)| = 2^8 * 8! = 10,321,920 is
+    # above the default enum_cap; |W(C_3)| = 2^3 * 3! = 48
+    characters._weyl_character_cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("an orbit was enumerated")
+
+    c3 = r"^alternant of W\(C_3\) has 48 terms, above enum_cap 47$"
+    with monkeypatch.context() as patched:
+        patched.setattr(characters, "permutations", refuse)
+        with pytest.raises(LimitExceeded, match=r"^alternant of W\(C_8\) "
+                           "has 10321920 terms, above enum_cap 10000000$"):
+            weyl_character((0,) * 8, "C", 8)
+        with limits.overridden({"enum_cap": 47}):
+            with pytest.raises(LimitExceeded, match=c3):
+                weyl_character((1, 0, 0), "C", 3)
+    with limits.overridden({"enum_cap": 48}):
+        assert weyl_character((1, 0, 0), "C", 3).evaluate_ones() == 6
+    # the check sits outside the cache, so a cached character is refused too
+    with limits.overridden({"enum_cap": 47}):
+        with pytest.raises(LimitExceeded, match=c3):
+            weyl_character((1, 0, 0), "C", 3)
+
+
 def test_E_map_of_many_variables():
     # 1,500 column heights, multiplied in a loop with no frame per height
     p = LaurentPolynomial.monomial((1,) * 1500)
@@ -725,13 +750,13 @@ def test_elem_products_multiply_once_per_prefix(monkeypatch):
     heights = _column_heights(4, 4)
     product = _elem_products("A", 4)
     calls = []
-    step = characters._klimyk_step
+    step = characters._klimyk
 
     def counting(*args):
         calls.append(1)
         return step(*args)
 
-    monkeypatch.setattr(characters, "_klimyk_step", counting)
+    monkeypatch.setattr(characters, "_klimyk", counting)
     for h in heights:
         product(h)
     prefixes = {h[:i] for h in heights for i in range(1, 5)}

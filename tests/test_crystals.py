@@ -321,6 +321,33 @@ def test_crystal_walks_store_the_rank_as_an_int(trusted_builds):
                        ("crystals", "_highest_weight_walk")}
 
 
+def test_operator_maps_hold_int_letters_whichever_key_filled_them(
+        trusted_builds):
+    # 1.0 == 1, so a float index and an int one share the cached map
+    reached, mismatches = trusted_builds
+    crystals._f_map.cache_clear()
+    try:
+        assert crystal_f(1.0, TensorElement([(1,)], 3)).to_json_obj() == [[2]]
+        b = crystal_f(1, TensorElement([(1,)], 3))
+    finally:
+        crystals._f_map.cache_clear()
+    assert b.to_json_obj() == [[2]]
+    assert [type(x) for x in b.columns[0]] == [int]
+    assert mismatches == []
+    assert reached == {("crystals", "_apply_at")}
+
+
+def test_highest_weight_vertices_take_a_float_rank():
+    # the rank is converted before the weight is padded to it
+    [b] = highest_weight_vertices((1,), (1,), 2.0)
+    assert b == TensorElement([(-2,)], 2) and type(b.n) is int
+
+
+def test_highest_weight_vertices_check_heights_before_the_weight():
+    with pytest.raises(HowekitError, match="^column height 5 outside 0..4$"):
+        highest_weight_vertices((5,), (1, 2, 3), 2)
+
+
 def test_highest_weight_elements_keep_the_rank_check():
     # the rank is checked before any column height
     for call in [lambda: highest_weight_vertices((), (), 0),

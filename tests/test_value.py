@@ -1,18 +1,22 @@
 """Every data class follows the one immutable value rule of howekit._value,
-and copies and pickles through it."""
+and copies and pickles through it; its repr and the guards of its
+constructors and of the functions that check their arguments read as
+pinned here."""
 
 import copy
 import inspect
 import pickle
+import re
 
 import pytest
 
 import howekit
 from howekit import (CharacterDecomposition, CrystalGraph, DiagramSpec,
-                     KingElement, KingEntry, LaurentPolynomial,
+                     HowekitError, KingElement, KingEntry, LaurentPolynomial,
                      MultiPartition, Partition, TensorElement, WeylElement)
 from howekit._value import Value
 from howekit.bicrystal import BarComplement
+from howekit.characters import decompose, elem_sym, jt_determinant, straighten
 
 # k = 0 twice gives two equal instances, k = 1 a different one
 EXAMPLES = {
@@ -58,3 +62,53 @@ def test_value_rule(cls):
         assert type(twin) is cls and twin == a
         if cls is not CharacterDecomposition:
             assert hash(twin) == hash(a)
+
+
+@pytest.mark.parametrize("value, text", [
+    (BarComplement([(-2, -1), ()], 2), "BarComplement([[-2, -1], []], 2)"),
+    (CharacterDecomposition({(2, 1): -1, (1,): 2}),  # items in key order
+     "CharacterDecomposition({(1,): 2, (2, 1): -1})"),
+    (LaurentPolynomial.zero(2), "LaurentPolynomial(2, 0)"),
+    (LaurentPolynomial(2, {(1, -1): 3, (0, 0): -2}),
+     "LaurentPolynomial(2, -2*x^[0, 0] +3*x^[1, -1])"),
+    (KingEntry(2, True), "KingEntry(2, True)"),
+    (MultiPartition([[2, 1], []], [2, 3]),
+     "MultiPartition([[2, 1], []], blocks=[2, 3])"),
+    (WeylElement((2, 1), (1, -1)), "WeylElement(perm=[2, 1], signs=[1, -1])"),
+], ids=["bar-complement", "decomposition", "zero-polynomial", "polynomial",
+        "king-entry", "multipartition", "weyl-element"])
+def test_repr(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TensorElement([], 0), HowekitError,
+     "rank must be positive"),
+    (lambda: elem_sym(1, "A", -1), ValueError, "n must be nonnegative"),
+    (lambda: elem_sym(1, "B", 2), ValueError, "family must be A or C, got 'B'"),
+    (lambda: jt_determinant((), "A", 2, 0), ValueError, "m must be >= 1"),
+    (lambda: straighten((1,), "B", 2, 1), ValueError, "family must be A or C"),
+    (lambda: decompose(LaurentPolynomial.one(2), "C", 3), ValueError,
+     "polynomial arity 2 does not match rank 3"),
+    (lambda: LaurentPolynomial(-1), ValueError, "nvars must be nonnegative"),
+    (lambda: LaurentPolynomial.one(1) ** -1, ValueError,
+     "negative powers not supported"),
+    (lambda: LaurentPolynomial.zero(1).lex_max(), ValueError,
+     "zero polynomial has no leading term"),
+    (lambda: Partition((3, 2, 1)).padded(2), ValueError,
+     "partition (3, 2, 1) has more than 2 parts"),
+    (lambda: WeylElement((1, 1)), ValueError,
+     "perm must be a permutation of 1..m: (1, 1)"),
+    (lambda: WeylElement((1, 2), (1, 0)), ValueError,
+     "signs must be a tuple of +-1 of length 2"),
+    (lambda: WeylElement((1, 2)).compose(WeylElement((1,))), ValueError,
+     "rank mismatch"),
+    (lambda: KingEntry(0), HowekitError,
+     "entry value must be >= 1, got 0"),
+], ids=["tensor-rank", "elem-sym-rank", "elem-sym-family", "jt-columns",
+        "straighten-family", "decompose-arity", "laurent-arity",
+        "negative-power", "zero-lex-max", "padded", "weyl-perm",
+        "weyl-signs", "compose-rank", "king-entry"])
+def test_guard_message(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()

@@ -422,7 +422,7 @@ def test_generalized_multiplies_once_per_prefix(monkeypatch):
     monkeypatch.setattr(characters, "schur_folded",
                         lambda comp, n: built.append(("A", comp))
                         or factors["A", comp])
-    steps = _counting(monkeypatch, characters, "_klimyk_step")
+    steps = _counting(monkeypatch, characters, "_klimyk")
     table = verify._char_products
     monkeypatch.setattr(verify, "_char_products",
                         lambda *args, **kwargs: tables.append(
