@@ -1,4 +1,5 @@
-"""The immutable value rule shared by the package's data classes."""
+"""The immutable value rule shared by the package's data classes, and the
+one integer rule of their arguments."""
 
 from operator import attrgetter
 
@@ -41,3 +42,22 @@ class Value:
     def __reduce__(self):
         return _rebuild, (type(self),
                           tuple(getattr(self, s) for s in self.__slots__))
+
+
+def check_int(x):
+    """int(x), refusing a non-string x that int() would change (2.7)."""
+    i = int(x)
+    if i != x and not isinstance(x, str):
+        raise ValueError("%r is not an integer" % (x,))
+    return i
+
+
+def check_weight(w, m=None):
+    """w as a tuple of ints, each through check_int, of length m if given."""
+    w = tuple(w)
+    t = tuple(map(int, w))
+    if t != w:
+        t = tuple(map(check_int, w))
+    if m is not None and len(t) != m:
+        raise ValueError("weight %r does not have length %d" % (t, m))
+    return t

@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 from math import ceil
 from operator import gt
 
-from ._value import Value
+from ._value import Value, check_int
 from .crystals import (TensorElement, _lower, _raise, check_column,
                        is_admissible)
 from .duality import KingElement, king_weight, star, star_inverse
@@ -36,7 +36,7 @@ from .errors import HowekitError
 @lru_cache(maxsize=None)
 def _king_f_map(idx, m):
     # f on the keys it acts on, j -> jbar or jbar -> j+1; cached and shared
-    j = abs(int(idx))
+    j = abs(check_int(idx))
     if idx > 0:
         if not 1 <= j <= m:
             raise HowekitError("unbarred index %d outside 1..%d" % (j, m))
@@ -101,7 +101,7 @@ class BarComplement(Value):
     __slots__ = ("columns", "n")
 
     def __init__(self, columns, n):
-        n = int(n)
+        n = check_int(n)
         if n < 1:
             raise HowekitError("rank must be positive")
         cols = []

@@ -18,10 +18,10 @@ from math import comb, factorial
 from operator import add, mul
 
 from . import limits, weyl
-from ._value import Value
+from ._value import Value, check_int, check_weight
 from .errors import NotACharacter
 from .laurent import LaurentPolynomial
-from .partitions import Partition, check_weight, conjugate, reduce_column_full
+from .partitions import Partition, conjugate, reduce_column_full
 
 
 def _check_subsets(k, letters):
@@ -38,8 +38,8 @@ def elem_sym(k, family, n):
     the letters than enum_cap allows, whether or not e_k is cached.
     """
     family = str(family).upper()
-    k = int(k)
-    n = int(n)
+    k = check_int(k)
+    n = check_int(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if family not in ("A", "C"):
@@ -319,7 +319,7 @@ class CharacterDecomposition(Value):
         clean = {}
         for lam, c in mults.items():
             lam = Partition(lam)
-            c = int(c)
+            c = check_int(c)
             if c:
                 clean[lam] = c
         object.__setattr__(self, "mults", clean)

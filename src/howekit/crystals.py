@@ -24,7 +24,7 @@ from math import comb, prod
 from operator import add, gt, mul
 
 from . import limits, weyl
-from ._value import Value
+from ._value import Value, check_int, check_weight
 from .errors import HowekitError
 from .partitions import Partition
 
@@ -35,7 +35,7 @@ def check_column(entries, n):
     >>> check_column([-3, -2, 4], 4)
     (-3, -2, 4)
     """
-    col = tuple(int(x) for x in entries)
+    col = check_weight(entries)
     for x in col:
         if x == 0 or not -n <= x <= n:
             raise HowekitError("letter %r outside the rank-%d alphabet" % (x, n))
@@ -58,7 +58,7 @@ class TensorElement(Value):
     __slots__ = ("columns", "n")
 
     def __init__(self, columns, n):
-        n = int(n)
+        n = check_int(n)
         if n < 1:
             raise HowekitError("rank must be positive")
         cols = tuple(check_column(c, n) for c in columns)
@@ -140,7 +140,7 @@ def _raise(b, order, f_map):
 def _f_map(i, n):
     # f_i on the letters it acts on; the cached dict is shared, never mutate
     # it.  Equal keys share an entry (1.0 == 1), so the letters are ints
-    i = int(i)
+    i = check_int(i)
     if i == 0:
         return {-1: 1}
     if not 1 <= i <= n - 1:
@@ -228,11 +228,11 @@ def is_coadmissible(c, n):
 
 def _checked_heights(mu_prime, n):
     """The column heights of B_{mu'}, each in 0..2n, under enum_cap, and
-    the rank n through int(), as TensorElement stores it."""
-    n = int(n)
+    the rank n through check_int, as TensorElement stores it."""
+    n = check_int(n)
     if n < 1:
         raise HowekitError("rank must be positive")
-    heights = tuple(int(h) for h in mu_prime)
+    heights = check_weight(mu_prime)
     for h in heights:
         if not 0 <= h <= 2 * n:
             raise HowekitError("column height %d outside 0..%d" % (h, 2 * n))
@@ -297,7 +297,7 @@ def highest_weight_vertices(mu_prime, lam, n):
     """The set B^hw_{mu', lam}: highest weight vertices of a given weight,
     in enumerate_B's order, read off the highest weight walk's weights."""
     heights, n = _checked_heights(mu_prime, n)
-    target = tuple(int(x) for x in lam)
+    target = check_weight(lam)
     target += (0,) * (n - len(target))
     if len(target) != n:
         raise HowekitError("weight %r does not have %d coordinates" % (lam, n))
@@ -332,7 +332,7 @@ class CrystalGraph(Value):
     def __init__(self, vertices, edges, n):
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", check_int(n))
 
     def __len__(self):
         return len(self.vertices)
@@ -378,7 +378,7 @@ def generate_crystal_graph(seed, ops=None):
     """
     if ops is None:
         ops = range(seed.n)
-    ops = sorted(set(int(i) for i in ops))
+    ops = sorted(set(map(check_int, ops)))
     if ops == list(range(seed.n)) and is_highest_weight(seed):
         limits.check("vertex_cap", _dimension(weight_of(seed)),
                      "crystal graph has %d vertices")

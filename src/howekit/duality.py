@@ -25,7 +25,7 @@ from math import comb, prod
 from operator import le
 
 from . import limits
-from ._value import Value
+from ._value import Value, check_int, check_weight
 from .crystals import TensorElement, highest_weight_vertices
 from .errors import HowekitError, MalformedTableau
 from .partitions import Partition, conjugate, hat
@@ -48,7 +48,7 @@ class KingEntry(Value):
     __slots__ = ("value", "barred")
 
     def __init__(self, value, barred=False):
-        value = int(value)
+        value = check_int(value)
         if value < 1:
             raise HowekitError("entry value must be >= 1, got %r" % (value,))
         object.__setattr__(self, "value", value)
@@ -60,7 +60,7 @@ class KingEntry(Value):
 
     @classmethod
     def from_key(cls, k):
-        k = int(k)
+        k = check_int(k)
         if k < 1:
             raise HowekitError("order key must be >= 1, got %r" % (k,))
         return cls((k + 1) // 2, k % 2 == 0)
@@ -121,7 +121,7 @@ class KingElement(Value):
     __slots__ = ("columns", "m")
 
     def __init__(self, columns, m):
-        m = int(m)
+        m = check_int(m)
         if m < 1:
             raise HowekitError("alphabet rank must be positive")
         cols = tuple(check_king_column(c, m) for c in columns)
@@ -310,7 +310,7 @@ def enumerate_king_tableaux(shape, weight, m, n=None):
     >>> len(enumerate_king_tableaux(Partition([1]), (1,), 1))
     1
     """
-    target = tuple(int(x) for x in weight)
+    target = check_weight(weight)
     if len(target) != m:
         raise HowekitError("weight %r does not have %d coordinates" % (weight, m))
     return king_tableaux_by_weight(shape, m, n).get(target, [])
@@ -382,7 +382,7 @@ def verify_combinatorial_howe(n, m, mu_prime, lam):
     offending element is recorded under "failure".  A mu_prime without
     exactly m heights raises before anything is built.
     """
-    mu_prime = tuple(int(h) for h in mu_prime)
+    mu_prime = check_weight(mu_prime)
     if len(mu_prime) != m:
         raise HowekitError("mu_prime has %d column heights, expected m = %d"
                            % (len(mu_prime), m))

@@ -9,7 +9,7 @@ process-wide term cap before it forms any.
 from operator import add
 
 from . import limits
-from ._value import Value
+from ._value import Value, check_int, check_weight
 from .errors import HowekitError
 
 
@@ -17,16 +17,16 @@ class LaurentPolynomial(Value):
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        nvars = int(nvars)
+        nvars = check_int(nvars)
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         clean = {}
         if terms:
             for exp, coef in terms.items() if isinstance(terms, dict) else terms:
-                exp = tuple(int(x) for x in exp)
+                exp = check_weight(exp)
                 if len(exp) != nvars:
                     raise ValueError("exponent %r has wrong arity" % (exp,))
-                coef = int(coef)
+                coef = check_int(coef)
                 if coef:
                     clean[exp] = clean.get(exp, 0) + coef
                     if clean[exp] == 0:
@@ -46,7 +46,7 @@ class LaurentPolynomial(Value):
 
     @staticmethod
     def monomial(exp, coef=1):
-        exp = tuple(int(x) for x in exp)
+        exp = check_weight(exp)
         return LaurentPolynomial(len(exp), {exp: coef})
 
     # -- basics ------------------------------------------------------------
@@ -99,7 +99,7 @@ class LaurentPolynomial(Value):
         return self + (-other)
 
     def scale(self, k):
-        k = int(k)
+        k = check_int(k)
         if k == 0:
             return LaurentPolynomial.zero(self.nvars)
         return LaurentPolynomial._trusted(
@@ -130,7 +130,7 @@ class LaurentPolynomial(Value):
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        k = int(k)
+        k = check_int(k)
         if k < 0:
             raise ValueError("negative powers not supported")
         out = LaurentPolynomial.one(self.nvars)
@@ -144,7 +144,7 @@ class LaurentPolynomial(Value):
 
     def shift(self, exp):
         """Multiply by the monomial x^exp."""
-        exp = tuple(int(x) for x in exp)
+        exp = check_weight(exp)
         return LaurentPolynomial(
             self.nvars,
             {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()})

@@ -12,6 +12,7 @@ and neither has exact division, whose quotient's box bounds its loop.
 
 from contextlib import contextmanager
 
+from ._value import check_int
 from .errors import LimitExceeded
 
 _DEFAULTS = {
@@ -53,11 +54,11 @@ def check(name, count, what, *args):
 def overridden(caps):
     """Apply caps (name -> integer) inside a with block only, then restore
     the overrides in force before it.  All are checked and converted with
-    int() before any changes."""
+    check_int before any changes."""
     for name in caps:
         if name not in _DEFAULTS:
             raise ValueError("unknown cap %r" % name)
-    caps = {name: int(value) for name, value in caps.items()}
+    caps = {name: check_int(value) for name, value in caps.items()}
     saved = dict(_overrides)
     _overrides.update(caps)
     try:

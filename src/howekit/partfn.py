@@ -14,9 +14,9 @@ from functools import cache, lru_cache
 from math import comb
 from operator import add, sub
 
-from ._value import Value
+from ._value import Value, check_weight
 from .errors import HowekitError
-from .partitions import Partition, MultiPartition, check_weight, involution_I
+from .partitions import Partition, MultiPartition, involution_I
 from . import limits, weyl
 
 
@@ -32,7 +32,7 @@ class DiagramSpec(Value):
 
     def __init__(self, symbols, sizes):
         symbols = tuple(str(s).upper() for s in symbols)
-        sizes = tuple(int(k) for k in sizes)
+        sizes = check_weight(sizes)
         if len(symbols) != len(sizes):
             raise ValueError("one size per symbol required")
         if not symbols:
@@ -161,8 +161,8 @@ def kostant_partition(roots, beta):
     sum_k C(u, k) C(beta_1, k) 2^k, u being the number of coordinates they
     may move; LimitExceeded is raised when that is above enum_cap.
     """
-    roots = tuple(tuple(int(x) for x in r) for r in roots)
-    beta = tuple(int(x) for x in beta)
+    roots = tuple(map(check_weight, roots))
+    beta = check_weight(beta)
     m = len(roots[0]) if roots else len(beta)
     if len(beta) != m:
         raise ValueError("vector length mismatch")

@@ -7,7 +7,7 @@ partitions with at most n parts, every part at most m.  For a weight
 vector w, I(w) reverses the coordinates and negates them.
 """
 
-from ._value import Value
+from ._value import Value, check_int, check_weight
 
 
 class Partition(Value):
@@ -28,7 +28,7 @@ class Partition(Value):
         if isinstance(parts, Partition):
             object.__setattr__(self, "parts", parts.parts)
             return
-        parts = tuple(int(x) for x in parts)
+        parts = check_weight(parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -83,7 +83,7 @@ class Partition(Value):
         if isinstance(other, tuple):
             try:
                 return self == Partition(other)
-            except ValueError:
+            except (ValueError, TypeError):
                 return False
         return NotImplemented
 
@@ -143,7 +143,7 @@ class MultiPartition(Value):
 
     def __init__(self, components, blocks):
         components = tuple(Partition(c) for c in components)
-        blocks = tuple(int(b) for b in blocks)
+        blocks = check_weight(blocks)
         if len(components) != len(blocks):
             raise ValueError("needs one block size per component")
         if any(b < 1 for b in blocks):
@@ -227,7 +227,7 @@ def reduce_column_full(p, bound):
 
 def enumerate_rectangle(n, m):
     """Yield every partition in P_{n,m} exactly once, lexicographically."""
-    n, m = int(n), int(m)
+    n, m = check_int(n), check_int(m)
     if n < 0 or m < 0:
         raise ValueError("rectangle bounds must be nonnegative")
 
@@ -244,11 +244,3 @@ def enumerate_rectangle(n, m):
                              range(prefix[-1] if prefix else m, 0, -1))
 
     return walk()
-
-
-def check_weight(w, m=None):
-    """Coerce to an integer tuple, optionally checking the length."""
-    t = tuple(int(x) for x in w)
-    if m is not None and len(t) != m:
-        raise ValueError("weight %r does not have length %d" % (t, m))
-    return t

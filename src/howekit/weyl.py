@@ -15,9 +15,9 @@ from functools import lru_cache
 from math import prod
 from operator import add, sub
 
-from ._value import Value
+from ._value import Value, check_int, check_weight
 from .errors import LimitExceeded
-from .partitions import Partition, check_weight
+from .partitions import Partition
 
 FAMILIES = ("A", "C")
 
@@ -31,7 +31,7 @@ def check_id(id):
     family = str(family).upper()
     if family not in FAMILIES:
         raise ValueError("family must be A or C, got %r" % (family,))
-    m = int(m)
+    m = check_int(m)
     if m < 1:
         raise ValueError("rank parameter must be >= 1")
     return family, m
@@ -70,13 +70,13 @@ class WeylElement(Value):
     __slots__ = ("perm", "signs")
 
     def __init__(self, perm, signs=None):
-        perm = tuple(int(x) for x in perm)
+        perm = check_weight(perm)
         m = len(perm)
         if sorted(perm) != list(range(1, m + 1)):
             raise ValueError("perm must be a permutation of 1..m: %r" % (perm,))
         if signs is None:
             signs = (1,) * m
-        signs = tuple(int(s) for s in signs)
+        signs = check_weight(signs)
         if len(signs) != m or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be a tuple of +-1 of length %d" % m)
         object.__setattr__(self, "perm", perm)

@@ -160,24 +160,60 @@ def _name(node):
     return getattr(node, "id", None)
 
 
-def _cap_guards(node, module, scope=()):
+def _sites(node, module, hit, scope=()):
+    # (module, enclosing function) of every node for which hit is true
     if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
         scope += (node.name,)
-    if ((isinstance(node, ast.Call)
-         and _name(node.func) in ("get_cap", "LimitExceeded"))
-            or (isinstance(node, ast.Raise)
-                and _name(node.exc) == "LimitExceeded")):
+    if hit(node):
         yield module, ".".join(scope)
     for child in ast.iter_child_nodes(node):
-        yield from _cap_guards(child, module, scope)
+        yield from _sites(child, module, hit, scope)
+
+
+def _cap_guard(node):
+    return ((isinstance(node, ast.Call)
+             and _name(node.func) in ("get_cap", "LimitExceeded"))
+            or (isinstance(node, ast.Raise)
+                and _name(node.exc) == "LimitExceeded"))
 
 
 def test_caps_are_checked_in_limits_alone():
     found = set()
     for path in MODULES:
         if path.stem != "limits":
-            found.update(_cap_guards(ast.parse(path.read_text()), path.stem))
+            found.update(_sites(ast.parse(path.read_text()), path.stem,
+                                _cap_guard))
     assert found == FIXED_CAP_GUARDS
+
+
+# Every call of int(), direct or through map, as (module, enclosing
+# function).  The integer rule (an integral value or an integer string
+# passes, 2.7 is refused rather than truncated) lives in the two coercers
+# of _value, which every other coercion calls.  The other four sites parse
+# text or round a measurement, where int() is the rule itself.
+INT_CALL_SITES = {
+    ("_value", "check_int"),
+    ("_value", "check_weight"),
+    ("cli", "_parse_ints"),
+    ("cli", "_read_config"),
+    ("duality", "KingEntry.from_str"),
+    ("verify", "_reported.run"),
+}
+
+
+def _int_call(node):
+    if not isinstance(node, ast.Call):
+        return False
+    f = _name(node.func)
+    return f == "int" or f == "map" and _name(node.args[0]) == "int"
+
+
+def test_int_is_called_at_the_listed_sites_alone():
+    found = set()
+    for path in MODULES:
+        found.update(_sites(ast.parse(path.read_text()), path.stem,
+                            _int_call))
+    assert found == INT_CALL_SITES
 
 
 # Every nested function that calls its own name, as (module, enclosing

@@ -32,6 +32,15 @@ def test_rejects_bad_parts():
         Partition([2, -1])
 
 
+def test_equality_with_a_tuple_never_raises():
+    # a tuple that is not a partition's parts is unequal, whatever its
+    # entries: an uncoercible one (None) or a non-integral one (2.7)
+    assert not Partition((1,)) == (None,)
+    assert not Partition((2, 1)) == (2.7, 1)
+    assert not Partition((2, 1)) == (1, 2)
+    assert Partition((2, 1)) == (2.0, True)
+
+
 def test_fits_in():
     assert Partition([3, 2]).fits_in(2, 3)
     assert not Partition([3, 2]).fits_in(1, 3)

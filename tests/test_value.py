@@ -13,7 +13,10 @@ import pytest
 import howekit
 from howekit import (CharacterDecomposition, CrystalGraph, DiagramSpec,
                      HowekitError, KingElement, KingEntry, LaurentPolynomial,
-                     MultiPartition, Partition, TensorElement, WeylElement)
+                     MultiPartition, Partition, TensorElement, WeylElement,
+                     branching_coefficient, crystal_f, enumerate_rectangle,
+                     kappa, king_e, kostant_partition, limits, positive_roots,
+                     star, weight_multiplicity)
 from howekit._value import Value
 from howekit.bicrystal import BarComplement
 from howekit.characters import decompose, elem_sym, jt_determinant, straighten
@@ -105,10 +108,57 @@ def test_repr(value, text):
      "rank mismatch"),
     (lambda: KingEntry(0), HowekitError,
      "entry value must be >= 1, got 0"),
+    (lambda: Partition((2.7, 1)), ValueError, "2.7 is not an integer"),
 ], ids=["tensor-rank", "elem-sym-rank", "elem-sym-family", "jt-columns",
         "straighten-family", "decompose-arity", "laurent-arity",
         "negative-power", "zero-lex-max", "padded", "weyl-perm",
-        "weyl-signs", "compose-rank", "king-entry"])
+        "weyl-signs", "compose-rank", "king-entry", "not-an-integer"])
 def test_guard_message(call, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         call()
+
+
+def _overridden(caps):
+    with limits.overridden(caps):
+        pass
+
+
+B = TensorElement([(-2,), (1,)], 2)
+
+# each call hands a non-integral value to a coercion of an integer argument
+NON_INTEGERS = {
+    "partition": (lambda: Partition((2.7, 1)), 2.7),
+    "tensor-letter": (lambda: TensorElement([(1.5,)], 3), 1.5),
+    "crystal-f": (lambda: crystal_f(1.5, B), 1.5),
+    "kappa": (lambda: kappa(1.5, B), 1.5),
+    "king-e": (lambda: king_e(1.5, star(B)), 1.5),
+    "laurent-coef": (lambda: LaurentPolynomial(1, {(1,): 2.9}), 2.9),
+    "scale": (lambda: LaurentPolynomial.one(1).scale(1.5), 1.5),
+    "spec-size": (lambda: DiagramSpec("C", [1.9]), 1.9),
+    "elem-sym": (lambda: elem_sym(1.5, "A", 2), 1.5),
+    "rectangle": (lambda: enumerate_rectangle(1, 1.5), 1.5),
+    "weight-mult": (lambda: weight_multiplicity(("C", 2), (1, 0), (0.9, 0)),
+                    0.9),
+    "branching": (lambda: branching_coefficient(
+        (1,), DiagramSpec("C", [1]), (1.5,)), 1.5),
+    "kostant": (lambda: kostant_partition(positive_roots(("C", 2)),
+                                          (1.5, 0.5)), 1.5),
+    "cap": (lambda: _overridden({"enum_cap": 2.5}), 2.5),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGERS)
+def test_non_integers_are_refused(name):
+    call, x = NON_INTEGERS[name]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%r is not an integer" % x)):
+        call()
+
+
+def test_integral_values_and_integer_strings_pass():
+    assert type(Partition((2.0, True)).parts[1]) is int
+    assert Partition((2.0, True)).parts == (2, 1)
+    assert LaurentPolynomial(1, {(1.0,): "2"}) == \
+        LaurentPolynomial(1, {(1,): 2})
+    assert DiagramSpec("C", ["2"]).sizes == (2,)
+    assert crystal_f(1.0, B) == crystal_f(1, B)
