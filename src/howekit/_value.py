@@ -54,10 +54,7 @@ def check_int(x):
 
 def check_weight(w, m=None):
     """w as a tuple of ints, each through check_int, of length m if given."""
-    w = tuple(w)
-    t = tuple(map(int, w))
-    if t != w:
-        t = tuple(map(check_int, w))
+    t = tuple(map(check_int, w))
     if m is not None and len(t) != m:
         raise ValueError("weight %r does not have length %d" % (t, m))
     return t

@@ -188,12 +188,12 @@ def test_caps_are_checked_in_limits_alone():
 
 # Every call of int(), direct or through map, as (module, enclosing
 # function).  The integer rule (an integral value or an integer string
-# passes, 2.7 is refused rather than truncated) lives in the two coercers
-# of _value, which every other coercion calls.  The other four sites parse
-# text or round a measurement, where int() is the rule itself.
+# passes, 2.7 is refused rather than truncated) lives in _value.check_int,
+# which its vector form check_weight and every other coercion call.  The
+# other four sites parse text or round a measurement, where int() is the
+# rule itself.
 INT_CALL_SITES = {
     ("_value", "check_int"),
-    ("_value", "check_weight"),
     ("cli", "_parse_ints"),
     ("cli", "_read_config"),
     ("duality", "KingEntry.from_str"),
